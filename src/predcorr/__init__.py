@@ -10,23 +10,19 @@ matrices derived from the correction) has been checked.
 """
 from .blocks import BlockVector
 from .framework import (ConvergenceCertificate, CorrectionSpec, SingularCorrectionError,
-                        SolverState, StoppingRule, SubproblemError,
-                        UncertifiedSpecError, certify, correct, extrapolate, run)
+                        SolverState, SubproblemError, UncertifiedSpecError, certify,
+                        correct, run)
 from .linalg import (AsymmetryError, NotPositiveDefiniteError, cholesky_pd_check,
                      solve_spd, spectral_radius_gram, weighted_norm_sq)
 from .problems import (FOperator, SplitMix64, VariationalInstance, gap_at,
                        instance_from_document, instance_to_document, kkt_oracle,
                        make_matrix_game, make_multiblock_quadratic,
                        make_saddle_quadratic, make_two_block_l1,
-                       make_two_block_quadratic, pointwise_residual)
+                       make_two_block_quadratic)
 from .prox import (BoxIndicator, L1Penalty, ProxOp, QuadraticCost, SimplexIndicator,
                    project_box, project_simplex, prox_quadratic, soft_threshold)
 from .schedule import DEFAULT_TAU_INIT, TauSchedule, tau_at, tau_next
-from .solvers import (MultiBlockSpec, SaddleSpec, TwoBlockSpec,
-                      multiblock_predict_baseline, multiblock_predict_faster,
-                      saddle_predict_baseline, saddle_predict_faster,
-                      solve_prediction_inclusion, two_block_predict_baseline,
-                      two_block_predict_faster)
+from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec, solve_prediction_inclusion
 from .trace import CSV_COLUMNS, IterationTrace, TraceRecord
 
 __version__ = "0.1.0"
@@ -36,16 +32,13 @@ __all__ = [
     "ConvergenceCertificate", "CorrectionSpec", "DEFAULT_TAU_INIT", "FOperator",
     "IterationTrace", "L1Penalty", "MultiBlockSpec", "NotPositiveDefiniteError",
     "ProxOp", "QuadraticCost", "SaddleSpec", "SimplexIndicator",
-    "SingularCorrectionError", "SolverState", "SplitMix64", "StoppingRule",
-    "SubproblemError", "TauSchedule", "TraceRecord", "TwoBlockSpec",
-    "UncertifiedSpecError", "VariationalInstance", "certify", "cholesky_pd_check",
-    "correct", "extrapolate", "gap_at", "instance_from_document",
-    "instance_to_document", "kkt_oracle", "make_matrix_game",
-    "make_multiblock_quadratic", "make_saddle_quadratic", "make_two_block_l1",
-    "make_two_block_quadratic", "multiblock_predict_baseline",
-    "multiblock_predict_faster", "pointwise_residual", "project_box",
-    "project_simplex", "prox_quadratic", "run", "saddle_predict_baseline",
-    "saddle_predict_faster", "solve_prediction_inclusion", "soft_threshold",
-    "solve_spd", "spectral_radius_gram", "tau_at", "tau_next",
-    "two_block_predict_baseline", "two_block_predict_faster", "weighted_norm_sq",
+    "SingularCorrectionError", "SolverState", "SplitMix64", "SubproblemError",
+    "TauSchedule", "TraceRecord", "TwoBlockSpec", "UncertifiedSpecError",
+    "VariationalInstance", "certify", "cholesky_pd_check", "correct", "gap_at",
+    "instance_from_document", "instance_to_document", "kkt_oracle",
+    "make_matrix_game", "make_multiblock_quadratic", "make_saddle_quadratic",
+    "make_two_block_l1", "make_two_block_quadratic", "project_box",
+    "project_simplex", "prox_quadratic", "run", "solve_prediction_inclusion",
+    "soft_threshold", "solve_spd", "spectral_radius_gram", "tau_at", "tau_next",
+    "weighted_norm_sq",
 ]

@@ -16,6 +16,7 @@ run-dependent field is runtime_seconds in the JSON summary.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -35,11 +36,11 @@ from .trace import CSV_COLUMNS, IterationTrace
 RATE_FLOOR = 1e-15  # trace values at or below this are noise, not rate signal
 
 GENERATORS = {
-    "two-block-quadratic": lambda seed, p: make_two_block_quadratic(seed, **p),
-    "two-block-l1": lambda seed, p: make_two_block_l1(seed, **p),
-    "multi-block-quadratic": lambda seed, p: make_multiblock_quadratic(seed, **p),
-    "saddle-quadratic": lambda seed, p: make_saddle_quadratic(seed, **p),
-    "matrix-game": lambda seed, p: make_matrix_game(**p),  # deterministic in A
+    "two-block-quadratic": make_two_block_quadratic,
+    "two-block-l1": make_two_block_l1,
+    "multi-block-quadratic": make_multiblock_quadratic,
+    "saddle-quadratic": make_saddle_quadratic,
+    "matrix-game": make_matrix_game,  # deterministic in A; takes no seed
 }
 
 
@@ -120,8 +121,15 @@ def build_instance(cfg: RunConfig):
     if cfg.instance_path is not None:
         with open(cfg.instance_path) as fh:
             return instance_from_document(json.load(fh))
+    make = GENERATORS[cfg.generator]
+    signature = inspect.signature(make)
     seed = 0 if cfg.seed is None else int(cfg.seed)
-    return GENERATORS[cfg.generator](seed, dict(cfg.params))
+    args = (seed,) if "seed" in signature.parameters else ()
+    try:
+        signature.bind(*args, **cfg.params)
+    except TypeError as exc:
+        raise ValueError(f"generator {cfg.generator!r}: {exc}") from None
+    return make(*args, **cfg.params)
 
 
 def write_trace_csv(trace: IterationTrace, path) -> None:

@@ -18,7 +18,7 @@ squared successive-difference residual decays like 1/t^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,21 +122,6 @@ def certify(spec: CorrectionSpec, tol: float = 1e-10) -> ConvergenceCertificate:
     )
 
 
-def extrapolate(breve_curr: BlockVector, breve_prev: BlockVector, tau_k: float) -> BlockVector:
-    """Extrapolated point (1/tau) * breve_curr - ((1-tau)/tau) * breve_prev.
-
-    tau_k = 1 is allowed and returns breve_curr exactly (the identity the
-    reduction tests rely on); the accelerated schedule itself only produces
-    tau in (0, 1).
-    """
-    tau_k = float(tau_k)
-    if not 0.0 < tau_k <= 1.0:
-        raise ValueError(f"tau_k must lie in (0, 1], got {tau_k}")
-    if tau_k == 1.0:
-        return breve_curr
-    return breve_curr.combine(breve_prev, 1.0 / tau_k, -(1.0 - tau_k) / tau_k)
-
-
 def correct(v_curr: np.ndarray, v_tilde: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Correction step v_curr - M (v_curr - v_tilde)."""
     v_curr = np.asarray(v_curr, dtype=float)
@@ -157,30 +142,17 @@ class SolverState:
     named blocks whenever L is invertible on the stored blocks (two-block
     and saddle schemes, where L = I); for the image-space multi-block
     scheme it is None after the first correction. breve_prev holds the full
-    accelerated iterate of the previous step in faster mode.
+    accelerated iterate of the previous step; predictors read it only when
+    tau < 1.
     """
 
-    k: int
     v_curr: np.ndarray
     w_curr: BlockVector | None
     breve_prev: BlockVector | None = None
-    v_breve_prev: np.ndarray | None = None
-    tau: TauSchedule | None = None
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    """Optional early exit below a pointwise-residual floor.
-
-    The default run is budget-only: rate measurement needs uncensored
-    traces, so no floor is applied unless one is set explicitly.
-    """
-
-    residual_floor: float | None = None
 
 
 def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
-        w0: BlockVector | None = None, stop: StoppingRule | None = None,
+        w0: BlockVector | None = None, residual_floor: float | None = None,
         override_uncertified: bool = False, tol: float = 1e-10) -> IterationTrace:
     """Drive a full prediction-correction run and collect its trace.
 
@@ -198,8 +170,10 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
         Schedule seed for faster mode (ignored by baseline).
     w0 : BlockVector, optional
         Start point; defaults to zeros in all blocks.
-    stop : StoppingRule, optional
-        Early-exit rule; default is budget-only.
+    residual_floor : float, optional
+        Stop after the first iteration whose pointwise residual falls below
+        this floor. The default is budget-only: rate measurement needs
+        uncensored traces.
     override_uncertified : bool
         Run even when the certificate fails (negative testing only); the
         trace is marked uncertified.
@@ -239,41 +213,31 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
         certificate=cert, uncertified=not cert.satisfied, has_oracle=has_oracle,
         initial_vdist_sq_h=initial_vdist)
 
-    state = SolverState(k=0, v_curr=v, w_curr=spec.point_from_image(v))
-    floor = stop.residual_floor if stop is not None else None
-
-    if mode == "faster":
-        state.tau = TauSchedule(tau_init)
-        state.breve_prev = w_start
-        state.v_breve_prev = spec.image(w_start)
-
+    # Baseline is the tau = 1 case of faster: the same predictor and
+    # correction, with only the theorem point and the residual pair differing.
+    state = SolverState(v_curr=v, w_curr=spec.point_from_image(v), breve_prev=w_start)
+    schedule = TauSchedule(tau_init) if mode == "faster" else None
+    v_breve_prev = v
     tilde_sum = None
     for k in range(budget):
-        state.k = k
-        if mode == "baseline":
-            try:
-                w_tilde = spec.predict_baseline(state)
-            except SubproblemError as exc:
-                trace.failure = str(exc)
-                break
-            v_tilde = spec.image(w_tilde)
+        tau_k = 1.0 if schedule is None else schedule.at(k)
+        try:
+            w_breve, w_tilde = spec.predict(state, tau_k)
+        except SubproblemError as exc:
+            trace.failure = str(exc)
+            break
+        v_tilde = spec.image(w_tilde)
+        if schedule is None:
             tilde_sum = w_tilde if tilde_sum is None else tilde_sum + w_tilde
             measured = (1.0 / (k + 1)) * tilde_sum
-            residual = weighted_norm_sq(H, M @ (state.v_curr - v_tilde))
-            tau_k = 1.0
+            diff = state.v_curr - v_tilde
         else:
-            tau_k = state.tau.at(k)
-            try:
-                w_breve, w_tilde = spec.predict_faster(state, tau_k)
-            except SubproblemError as exc:
-                trace.failure = str(exc)
-                break
-            v_tilde = spec.image(w_tilde)
-            v_breve = spec.image(w_breve)
             measured = w_breve
-            residual = weighted_norm_sq(H, M @ (v_breve - state.v_breve_prev))
-            state.breve_prev = w_breve
-            state.v_breve_prev = v_breve
+            v_breve = spec.image(w_breve)
+            diff = v_breve - v_breve_prev
+            v_breve_prev = v_breve
+        residual = weighted_norm_sq(H, M @ diff)
+        state.breve_prev = w_breve
 
         state.v_curr = correct(state.v_curr, v_tilde, M)
         state.w_curr = spec.point_from_image(state.v_curr)
@@ -286,7 +250,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
             pointwise_residual=residual,
             objective=instance.objective(measured),
             vdist_sq_h=vdist))
-        if floor is not None and residual < floor:
+        if residual_floor is not None and residual < residual_floor:
             break
 
     trace.final_v = state.v_curr

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import as_matrix, as_vector, cholesky_pd_check, spectral_radius_gram, weighted_norm_sq
+from .linalg import as_matrix, as_vector, cholesky_pd_check, spectral_radius_gram
 from .prox import L1Penalty, ProxOp, QuadraticCost, SimplexIndicator, soft_threshold
 from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec
 
@@ -125,18 +125,6 @@ def gap_at(w_hat: BlockVector, w_ref: BlockVector, instance: VariationalInstance
     diff = w_hat.concat() - w_ref.concat()
     return float(instance.theta(w_hat) - instance.theta(w_ref)
                  + diff @ instance.F_op(w_ref))
-
-
-def pointwise_residual(v_curr, v_other, certificate, M, mode: str = "baseline") -> float:
-    """Squared H-norm of M (v_curr - v_other).
-
-    v_other is the predicted point in baseline mode and the previous
-    anchored point in faster mode; the formula is the same either way.
-    """
-    if mode not in ("baseline", "faster"):
-        raise ValueError(f"mode must be 'baseline' or 'faster', got {mode!r}")
-    diff = as_vector(v_curr, "v_curr") - as_vector(v_other, "v_other")
-    return weighted_norm_sq(certificate.H, as_matrix(M, "M") @ diff)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +317,20 @@ def make_multiblock_quadratic(seed: int, m: int, n_i, l: int, *,
     raise ValueError("no full-row-rank draw in 5 attempts; change seed or dims")
 
 
+def _saddle_steps(A: np.ndarray, alpha: float, r, s) -> tuple:
+    """Step sizes (r, s) as given, or r = s = sqrt(1.05 (1 - alpha + alpha^2) rho(A'A)).
+
+    The default sits 5% inside the certified region r*s > (1 - alpha +
+    alpha^2) rho(A'A); A = 0 has no coupling and takes r = s = 1.
+    """
+    if (r is None) != (s is None):
+        raise ValueError("give both r and s, or neither")
+    if r is None:
+        base = (1.0 - alpha + alpha ** 2) * spectral_radius_gram(A)
+        r = s = float(np.sqrt(1.05 * base)) if base > 0 else 1.0
+    return r, s
+
+
 def make_matrix_game(A, *, r: float = None, s: float = None,
                      alpha: float = 0.5) -> VariationalInstance:
     """Zero-sum matrix game on probability simplices.
@@ -341,12 +343,7 @@ def make_matrix_game(A, *, r: float = None, s: float = None,
     """
     A = as_matrix(A, "A")
     m_rows, n_cols = A.shape
-    rho = spectral_radius_gram(A)
-    base = (1.0 - alpha + alpha ** 2) * rho
-    if (r is None) != (s is None):
-        raise ValueError("give both r and s, or neither")
-    if r is None:
-        r = s = float(np.sqrt(1.05 * base)) if base > 0 else 1.0
+    r, s = _saddle_steps(A, alpha, r, s)
     spec = SaddleSpec(SimplexIndicator(), SimplexIndicator(), A, r, s, alpha)
 
     w_star = None
@@ -381,12 +378,7 @@ def make_saddle_quadratic(seed: int, n: int, m: int, *,
     A = rng.matrix(m, n)
     a = rng.vector(n)
     c = rng.vector(m)
-    rho = spectral_radius_gram(A)
-    base = (1.0 - alpha + alpha ** 2) * rho
-    if (r is None) != (s is None):
-        raise ValueError("give both r and s, or neither")
-    if r is None:
-        r = s = float(np.sqrt(1.05 * base)) if base > 0 else 1.0
+    r, s = _saddle_steps(A, alpha, r, s)
     spec = SaddleSpec(QuadraticCost.distance_to(a), QuadraticCost.distance_to(c),
                       A, r, s, alpha)
     inst = _saddle_instance(spec, seed)

@@ -7,14 +7,14 @@ this package ships reduces to the inclusion
     0 in  df(x_breve) + W x_tilde + q,    x_breve = tau x_tilde + (1-tau) anchor
 
 solved in the tilde variable. tau = 1 collapses x_breve = x_tilde and gives
-the plain step, so the accelerated predictors reduce to the plain ones by
-construction when tau = 1. Two solve paths cover all shipped objectives:
-quadratic f (SPD linear solve) and prox-friendly f under a scalar W.
+the plain step, so each family has one predictor, predict(state, tau), and
+the plain scheme is its tau = 1 case by construction. Two solve paths cover
+all shipped objectives: quadratic f (SPD linear solve) and prox-friendly f
+under a scalar W.
 
-The module-level predict functions mirror the spec methods; the two-block
-and saddle families work on full named iterates (their image map is the
-identity), while the multi-block family's corrected state lives in image
-space and its predictors read the image blocks directly.
+The two-block and saddle families work on full named iterates (their image
+map is the identity), while the multi-block family's corrected state lives
+in image space and its predictor reads the image blocks directly.
 """
 from __future__ import annotations
 
@@ -188,11 +188,12 @@ class TwoBlockSpec:
     def point_from_image(self, v: np.ndarray) -> BlockVector:
         return BlockVector.from_concat(self.block_names(), self.block_dims(), v)
 
-    def _sweep(self, w: BlockVector, tau: float, anchor: BlockVector | None):
-        """Shared Gauss-Seidel pass; tau=1 with no anchor is the plain step."""
-        x1, x2, lam = w["x1"], w["x2"], w["lam"]
-        a1 = anchor["x1"] if anchor is not None else None
-        a2 = anchor["x2"] if anchor is not None else None
+    def predict(self, state, tau: float):
+        """Gauss-Seidel sweep; returns (w_breve, w_tilde), one object at tau = 1."""
+        x1, x2, lam = state.w_curr["x1"], state.w_curr["x2"], state.w_curr["lam"]
+        prev = None if tau == 1.0 else state.breve_prev  # no anchor at tau = 1
+        a1 = prev["x1"] if prev is not None else None
+        a2 = prev["x2"] if prev is not None else None
 
         q1 = -self.A1.T @ lam + self.beta * (self.A1.T @ (self.A2 @ x2 - self.b)) \
             - self.P @ x1
@@ -204,30 +205,12 @@ class TwoBlockSpec:
 
         q2 = -self.A2.T @ lam_half + self.beta * (self.A2.T @ (self.A1 @ t1 - self.b))
         b2, t2 = solve_prediction_inclusion(self.prox_f2, self._W2, q2, tau, a2)
-        return (b1, b2), (t1, t2), lam_tilde
-
-    def predict_baseline(self, state) -> BlockVector:
-        _, (t1, t2), lam_tilde = self._sweep(state.w_curr, 1.0, None)
-        return BlockVector(self.block_names(), (t1, t2, lam_tilde))
-
-    def predict_faster(self, state, tau_k: float):
-        prev = state.breve_prev
-        (b1, b2), (t1, t2), lam_tilde = self._sweep(state.w_curr, tau_k, prev)
-        lam_breve = tau_k * lam_tilde + (1.0 - tau_k) * prev["lam"]
         names = self.block_names()
-        w_breve = BlockVector(names, (b1, b2, lam_breve))
         w_tilde = BlockVector(names, (t1, t2, lam_tilde))
-        return w_breve, w_tilde
-
-
-def two_block_predict_baseline(state, spec: TwoBlockSpec) -> BlockVector:
-    """Plain prediction sweep; returns the full predicted point."""
-    return spec.predict_baseline(state)
-
-
-def two_block_predict_faster(state, spec: TwoBlockSpec, tau_k: float):
-    """Accelerated sweep; returns (anchored point, extrapolated point)."""
-    return spec.predict_faster(state, tau_k)
+        if prev is None:
+            return w_tilde, w_tilde
+        lam_breve = tau * lam_tilde + (1.0 - tau) * prev["lam"]
+        return BlockVector(names, (b1, b2, lam_breve)), w_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -330,54 +313,33 @@ class MultiBlockSpec:
         # A_i x_i does not determine x_i; the image is the authoritative state
         return None
 
-    def _image_parts(self, v: np.ndarray):
-        """Split a flat image state into (A_i x_i blocks, multiplier)."""
+    def predict(self, state, tau: float):
+        """Forward pass over the blocks, then the multiplier; (w_breve, w_tilde)."""
+        v = state.v_curr
         l = self.n_constraints
         rb = np.sqrt(self.beta)
-        ax = [v[i * l:(i + 1) * l] / rb for i in range(self.m)]
+        ax = [v[i * l:(i + 1) * l] / rb for i in range(self.m)]  # the A_i x_i
         lam = v[self.m * l:] * rb
-        return ax, lam
-
-    def _sweep(self, v: np.ndarray, tau: float, anchor: BlockVector | None):
-        ax, lam = self._image_parts(v)
+        prev = None if tau == 1.0 else state.breve_prev  # no anchor at tau = 1
         tildes, breves = [], []
         drift = np.zeros(self.n_constraints)  # sum_{j<i} A_j (xt_j - x_j)
         sum_ax = np.zeros(self.n_constraints)
         for i, (f, A) in enumerate(zip(self.prox_f_i, self.A_i)):
             W = self.beta * (A.T @ A)
             q = -A.T @ lam + self.beta * (A.T @ (drift - ax[i]))
-            a = anchor[i] if anchor is not None else None
+            a = prev[i] if prev is not None else None
             xb, xt = solve_prediction_inclusion(f, W, q, tau, a)
             breves.append(xb)
             tildes.append(xt)
             drift += A @ xt - ax[i]
             sum_ax += A @ xt
         lam_tilde = lam - self.beta * (sum_ax - self.b)
-        return breves, tildes, lam_tilde
-
-    def predict_baseline(self, state) -> BlockVector:
-        _, tildes, lam_tilde = self._sweep(state.v_curr, 1.0, None)
-        return BlockVector(self.block_names(), (*tildes, lam_tilde))
-
-    def predict_faster(self, state, tau_k: float):
-        prev = state.breve_prev
-        breves, tildes, lam_tilde = self._sweep(state.v_curr, tau_k, prev)
-        lam_breve = tau_k * lam_tilde + (1.0 - tau_k) * prev["lam"]
         names = self.block_names()
-        w_breve = BlockVector(names, (*breves, lam_breve))
         w_tilde = BlockVector(names, (*tildes, lam_tilde))
-        return w_breve, w_tilde
-
-
-def multiblock_predict_baseline(state, spec: MultiBlockSpec) -> np.ndarray:
-    """Plain multi-block prediction, returned in image space."""
-    return spec.image(spec.predict_baseline(state))
-
-
-def multiblock_predict_faster(state, spec: MultiBlockSpec, tau_k: float):
-    """Accelerated multi-block prediction, both points in image space."""
-    w_breve, w_tilde = spec.predict_faster(state, tau_k)
-    return spec.image(w_breve), spec.image(w_tilde)
+        if prev is None:
+            return w_tilde, w_tilde
+        lam_breve = tau * lam_tilde + (1.0 - tau) * prev["lam"]
+        return BlockVector(names, (*breves, lam_breve)), w_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -449,32 +411,19 @@ class SaddleSpec:
     def point_from_image(self, v: np.ndarray) -> BlockVector:
         return BlockVector.from_concat(self.block_names(), self.block_dims(), v)
 
-    def _sweep(self, w: BlockVector, tau: float, anchor: BlockVector | None):
-        x, y = w["x"], w["y"]
-        ax = anchor["x"] if anchor is not None else None
-        ay = anchor["y"] if anchor is not None else None
+    def predict(self, state, tau: float):
+        """Primal prox, momentum push, dual prox; returns (w_breve, w_tilde)."""
+        x, y = state.w_curr["x"], state.w_curr["y"]
+        prev = None if tau == 1.0 else state.breve_prev  # no anchor at tau = 1
+        ax = prev["x"] if prev is not None else None
+        ay = prev["y"] if prev is not None else None
         xb, xt = solve_prediction_inclusion(
             self.prox_f, self.r, -self.r * x - self.A.T @ y, tau, ax)
         x_push = xt + self.alpha * (xt - x)
         yb, yt = solve_prediction_inclusion(
             self.prox_g, self.s, self.A @ x_push - self.s * y, tau, ay)
-        return (xb, yb), (xt, yt)
-
-    def predict_baseline(self, state) -> BlockVector:
-        _, (xt, yt) = self._sweep(state.w_curr, 1.0, None)
-        return BlockVector(self.block_names(), (xt, yt))
-
-    def predict_faster(self, state, tau_k: float):
-        (xb, yb), (xt, yt) = self._sweep(state.w_curr, tau_k, state.breve_prev)
         names = self.block_names()
-        return BlockVector(names, (xb, yb)), BlockVector(names, (xt, yt))
-
-
-def saddle_predict_baseline(state, spec: SaddleSpec) -> BlockVector:
-    """Plain saddle prediction step."""
-    return spec.predict_baseline(state)
-
-
-def saddle_predict_faster(state, spec: SaddleSpec, tau_k: float):
-    """Accelerated saddle prediction; returns (anchored, extrapolated)."""
-    return spec.predict_faster(state, tau_k)
+        w_tilde = BlockVector(names, (xt, yt))
+        if prev is None:
+            return w_tilde, w_tilde
+        return BlockVector(names, (xb, yb)), w_tilde

@@ -49,6 +49,27 @@ def test_certify_bad_generator(capsys):
     assert "unknown generator" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "run"])
+@pytest.mark.parametrize("params, named", [
+    (("bogus=1",), "'n'"),
+    (("n=3", "mu=0.5", "bogus=1"), "'bogus'"),
+    (("n=3",), "'mu'"),
+], ids=["only-unknown", "unknown", "missing"])
+def test_bad_generator_params(tmp_path, capsys, command, params, named):
+    # an unknown or missing generator parameter means no spec can be built
+    argv = [command, "--generator", "two-block-l1"]
+    for p in params:
+        argv += ["--param", p]
+    if command == "run":
+        argv += ["--out", str(tmp_path)]
+    code, out, err = call(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "'two-block-l1'" in err and named in err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # run
 

@@ -6,11 +6,12 @@ from predcorr import (
     BlockVector,
     CorrectionSpec,
     SingularCorrectionError,
-    StoppingRule,
+    SolverState,
     UncertifiedSpecError,
     certify,
     correct,
-    extrapolate,
+    make_multiblock_quadratic,
+    make_saddle_quadratic,
     make_two_block_l1,
     run,
     tau_at,
@@ -61,19 +62,6 @@ def test_certify_asymmetric_h():
 def test_correction_spec_validation():
     with pytest.raises(ValueError):
         CorrectionSpec(L=np.eye(2), Q=np.eye(3), M=np.eye(2))
-
-
-def test_extrapolate():
-    curr = BlockVector(("x",), (np.array([1.0, 2.0]),))
-    prev = BlockVector(("x",), (np.array([0.0, 1.0]),))
-    out = extrapolate(curr, prev, 0.5)
-    # (1/tau) curr - ((1-tau)/tau) prev = 2*curr - prev
-    np.testing.assert_allclose(out["x"], [2.0, 3.0])
-    assert extrapolate(curr, prev, 1.0) is curr
-    with pytest.raises(ValueError):
-        extrapolate(curr, prev, 0.0)
-    with pytest.raises(ValueError):
-        extrapolate(curr, prev, 1.5)
 
 
 def test_correct():
@@ -130,7 +118,7 @@ def test_run_uncertified_guard():
 def test_run_stopping_rule():
     inst = make_two_block_l1(0, 2, 0.5)
     full = run(inst, "baseline", 200)
-    stopped = run(inst, "baseline", 200, stop=StoppingRule(residual_floor=1e-12))
+    stopped = run(inst, "baseline", 200, residual_floor=1e-12)
     assert 0 < len(stopped.records) < len(full.records)
     assert stopped.records[-1].pointwise_residual <= 1e-12
 
@@ -142,3 +130,32 @@ def test_run_gap_decreases_on_l1():
     gaps = [r.gap_at_star for r in trace.records]
     assert gaps[-1] <= 1e-3 * (1.0 + abs(gaps[0]))
     assert all(g >= -1e-12 for g in gaps)  # gap at the oracle is nonnegative
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_two_block_l1(1, 3, 0.5),
+    lambda: make_multiblock_quadratic(2, 3, 2, 3),
+    lambda: make_saddle_quadratic(3, 3, 2),
+], ids=["two-block", "multi-block", "saddle"])
+def test_run_first_residual(make):
+    # record 0 is ||M (v0 - v~0)||_H^2 in baseline and ||M (v^0 - L w0)||_H^2
+    # in faster, built here from the certificate and one prediction
+    inst = make()
+    spec = inst.spec
+    cspec = spec.correction_spec()
+    H, L, M = certify(cspec).H, cspec.L, cspec.M
+    rng = np.random.default_rng(5)
+    w0 = BlockVector(spec.block_names(),
+                     tuple(rng.normal(size=d) for d in spec.block_dims()))
+    v0 = L @ w0.concat()
+    state = SolverState(v_curr=v0, w_curr=w0, breve_prev=w0)
+
+    _, tilde = spec.predict(state, 1.0)
+    d = M @ (v0 - L @ tilde.concat())
+    got = run(inst, "baseline", 1, w0=w0).records[0].pointwise_residual
+    assert got == pytest.approx(d @ H @ d, rel=1e-12)
+
+    breve, _ = spec.predict(state, tau_at(0.5, 0))
+    d = M @ (L @ breve.concat() - v0)
+    got = run(inst, "faster", 1, w0=w0, tau_init=0.5).records[0].pointwise_residual
+    assert got == pytest.approx(d @ H @ d, rel=1e-12)

@@ -15,7 +15,6 @@ from predcorr import (
     make_saddle_quadratic,
     make_two_block_l1,
     make_two_block_quadratic,
-    pointwise_residual,
 )
 
 
@@ -240,20 +239,6 @@ def test_f_operator_rejects_non_skew():
     np.testing.assert_allclose(op(np.array([2.0, 3.0])), [4.0, -2.0])
 
 
-def test_pointwise_residual_formula():
-    inst = make_two_block_quadratic(0, 2, 2, 3)
-    cspec = inst.spec.correction_spec()
-    cert = certify(cspec)
-    v = np.arange(float(cspec.M.shape[0]))
-    vt = v[::-1].copy()
-    want = (cspec.M @ (v - vt)) @ cert.H @ (cspec.M @ (v - vt))
-    got = pointwise_residual(v, vt, cert, cspec.M, mode="baseline")
-    assert got == pytest.approx(want, rel=1e-12)
-    assert pointwise_residual(v, v, cert, cspec.M, mode="faster") == 0.0
-    with pytest.raises(ValueError):
-        pointwise_residual(v, vt, cert, cspec.M, mode="ergodic")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -277,10 +262,10 @@ def test_document_round_trip(build):
     # the rebuilt spec drives identical predictions
     from predcorr import SolverState
     w0 = inst.spec.initial_point()
-    s1 = SolverState(k=0, v_curr=inst.spec.image(w0), w_curr=w0)
-    s2 = SolverState(k=0, v_curr=back.spec.image(w0), w_curr=w0)
-    p1 = inst.spec.predict_baseline(s1)
-    p2 = back.spec.predict_baseline(s2)
+    s1 = SolverState(v_curr=inst.spec.image(w0), w_curr=w0)
+    s2 = SolverState(v_curr=back.spec.image(w0), w_curr=w0)
+    _, p1 = inst.spec.predict(s1, 1.0)
+    _, p2 = back.spec.predict(s2, 1.0)
     assert (p1 - p2).norm() == 0.0
     # documents survive the JSON text layer unchanged
     import json
