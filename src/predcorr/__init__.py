@@ -10,10 +10,9 @@ matrices derived from the correction) has been checked.
 """
 from .blocks import BlockVector
 from .framework import (ConvergenceCertificate, CorrectionSpec, SingularCorrectionError,
-                        SolverState, SubproblemError, UncertifiedSpecError, certify,
-                        correct, run)
+                        SolverState, SubproblemError, UncertifiedSpecError, certify, run)
 from .linalg import (AsymmetryError, NotPositiveDefiniteError, cholesky_pd_check,
-                     solve_spd, spectral_radius_gram, weighted_norm_sq)
+                     solve_spd, spectral_radius_gram)
 from .problems import (FOperator, SplitMix64, VariationalInstance, gap_at,
                        instance_from_document, instance_to_document, kkt_oracle,
                        make_matrix_game, make_multiblock_quadratic,
@@ -21,7 +20,7 @@ from .problems import (FOperator, SplitMix64, VariationalInstance, gap_at,
                        make_two_block_quadratic)
 from .prox import (BoxIndicator, L1Penalty, ProxOp, QuadraticCost, SimplexIndicator,
                    project_box, project_simplex, prox_quadratic, soft_threshold)
-from .schedule import DEFAULT_TAU_INIT, TauSchedule, tau_at, tau_next
+from .schedule import DEFAULT_TAU_INIT, tau_at, tau_next
 from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec, solve_prediction_inclusion
 from .trace import CSV_COLUMNS, IterationTrace, TraceRecord
 
@@ -33,12 +32,11 @@ __all__ = [
     "IterationTrace", "L1Penalty", "MultiBlockSpec", "NotPositiveDefiniteError",
     "ProxOp", "QuadraticCost", "SaddleSpec", "SimplexIndicator",
     "SingularCorrectionError", "SolverState", "SplitMix64", "SubproblemError",
-    "TauSchedule", "TraceRecord", "TwoBlockSpec", "UncertifiedSpecError",
-    "VariationalInstance", "certify", "cholesky_pd_check", "correct", "gap_at",
+    "TraceRecord", "TwoBlockSpec", "UncertifiedSpecError",
+    "VariationalInstance", "certify", "cholesky_pd_check", "gap_at",
     "instance_from_document", "instance_to_document", "kkt_oracle",
     "make_matrix_game", "make_multiblock_quadratic", "make_saddle_quadratic",
     "make_two_block_l1", "make_two_block_quadratic", "project_box",
     "project_simplex", "prox_quadratic", "run", "solve_prediction_inclusion",
     "soft_threshold", "solve_spd", "spectral_radius_gram", "tau_at", "tau_next",
-    "weighted_norm_sq",
 ]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import as_matrix, check_symmetric, cholesky_pd_check, weighted_norm_sq
-from .schedule import DEFAULT_TAU_INIT, TauSchedule
+from .linalg import as_matrix, check_symmetric, cholesky_pd_check
+from .schedule import DEFAULT_TAU_INIT, _check_unit_interval, tau_next
 from .trace import IterationTrace, TraceRecord
 
 
@@ -122,18 +122,6 @@ def certify(spec: CorrectionSpec, tol: float = 1e-10) -> ConvergenceCertificate:
     )
 
 
-def correct(v_curr: np.ndarray, v_tilde: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Correction step v_curr - M (v_curr - v_tilde)."""
-    v_curr = np.asarray(v_curr, dtype=float)
-    v_tilde = np.asarray(v_tilde, dtype=float)
-    if v_curr.shape != v_tilde.shape:
-        raise ValueError("v_curr and v_tilde dimensions disagree")
-    M = as_matrix(M, "M")
-    if M.shape[0] != v_curr.size:
-        raise ValueError("M dimension does not match state")
-    return v_curr - M @ (v_curr - v_tilde)
-
-
 @dataclass
 class SolverState:
     """Mutable iteration state handed to the family predictors.
@@ -181,7 +169,10 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
     Returns
     -------
     IterationTrace
-        Records evaluated at the mode's theorem point, plus final state.
+        Records evaluated at the mode's theorem point, plus final state. A
+        subproblem that cannot be solved, or an overflow or invalid value
+        (divergence, reported as "diverged at k=..."), ends the run early
+        with ``failure`` set and the records before it kept.
     """
     if mode not in ("baseline", "faster"):
         raise ValueError(f"mode must be 'baseline' or 'faster', got {mode!r}")
@@ -206,7 +197,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
 
     has_oracle = getattr(instance, "w_star", None) is not None
     v_star = spec.image(instance.w_star) if has_oracle else None
-    initial_vdist = weighted_norm_sq(H, v - v_star) if has_oracle else None
+    initial_vdist = float((v - v_star) @ (H @ (v - v_star))) if has_oracle else None
 
     trace = IterationTrace(
         family=instance.family, mode=mode, budget=budget, tau_init=float(tau_init),
@@ -215,43 +206,57 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
 
     # Baseline is the tau = 1 case of faster: the same predictor and
     # correction, with only the theorem point and the residual pair differing.
+    faster = mode == "faster"
+    tau_k = _check_unit_interval(tau_init, "tau_init") if faster else 1.0
     state = SolverState(v_curr=v, w_curr=spec.point_from_image(v), breve_prev=w_start)
-    schedule = TauSchedule(tau_init) if mode == "faster" else None
     v_breve_prev = v
     tilde_sum = None
-    for k in range(budget):
-        tau_k = 1.0 if schedule is None else schedule.at(k)
-        try:
-            w_breve, w_tilde = spec.predict(state, tau_k)
-        except SubproblemError as exc:
-            trace.failure = str(exc)
-            break
-        v_tilde = spec.image(w_tilde)
-        if schedule is None:
-            tilde_sum = w_tilde if tilde_sum is None else tilde_sum + w_tilde
-            measured = (1.0 / (k + 1)) * tilde_sum
-            diff = state.v_curr - v_tilde
-        else:
-            measured = w_breve
-            v_breve = spec.image(w_breve)
-            diff = v_breve - v_breve_prev
-            v_breve_prev = v_breve
-        residual = weighted_norm_sq(H, M @ diff)
-        state.breve_prev = w_breve
+    # Overflow or an invalid value anywhere in an iteration means the run has
+    # diverged; raising at the first one keeps the rows before it intact.
+    with np.errstate(over="raise", invalid="raise"):
+        for k in range(budget):
+            try:
+                if faster:
+                    tau_k = tau_next(tau_k)
+                w_breve, w_tilde = spec.predict(state, tau_k)
+                v_tilde = spec.image(w_tilde)
+                if faster:
+                    measured = w_breve
+                    v_breve = spec.image(w_breve)
+                    diff = v_breve - v_breve_prev
+                    v_breve_prev = v_breve
+                else:
+                    tilde_sum = w_tilde if tilde_sum is None else tilde_sum + w_tilde
+                    measured = (1.0 / (k + 1)) * tilde_sum
+                    diff = state.v_curr - v_tilde
+                m_diff = M @ diff
+                residual = float(m_diff @ (H @ m_diff))
+                state.breve_prev = w_breve
 
-        state.v_curr = correct(state.v_curr, v_tilde, M)
-        state.w_curr = spec.point_from_image(state.v_curr)
+                state.v_curr = state.v_curr - M @ (state.v_curr - v_tilde)
+                state.w_curr = spec.point_from_image(state.v_curr)
 
-        gap = instance.gap_to_star(measured) if has_oracle else 0.0
-        vdist = (weighted_norm_sq(H, state.v_curr - v_star) if has_oracle else None)
-        trace.records.append(TraceRecord(
-            k=k, tau=tau_k, gap_at_star=gap,
-            feasibility=instance.feasibility(measured),
-            pointwise_residual=residual,
-            objective=instance.objective(measured),
-            vdist_sq_h=vdist))
-        if residual_floor is not None and residual < residual_floor:
-            break
+                if has_oracle:
+                    gap = instance.gap_to_star(measured)
+                    v_err = state.v_curr - v_star
+                    vdist = float(v_err @ (H @ v_err))
+                else:
+                    gap, vdist = 0.0, None
+                record = TraceRecord(
+                    k=k, tau=tau_k, gap_at_star=gap,
+                    feasibility=instance.feasibility(measured),
+                    pointwise_residual=residual,
+                    objective=instance.objective(measured),
+                    vdist_sq_h=vdist)
+            except SubproblemError as exc:
+                trace.failure = str(exc)
+                break
+            except FloatingPointError as exc:
+                trace.failure = f"diverged at k={k}: {exc}"
+                break
+            trace.records.append(record)
+            if residual_floor is not None and residual < residual_floor:
+                break
 
     trace.final_v = state.v_curr
     trace.final_w = state.w_curr

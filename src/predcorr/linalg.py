@@ -1,11 +1,10 @@
 """Dense real linear algebra kernels.
 
-Everything downstream (certificates, subproblem solves, metrics) runs on the
-four operations here: a pivot-reporting Cholesky positive-definiteness check,
-power iteration for the dominant eigenvalue of a Gram matrix, an SPD linear
-solve, and weighted quadratic forms. Matrices and vectors are plain numpy
-arrays validated on entry; problems at the intended scale are small and
-dense, so there is no sparse path.
+Everything downstream (certificates, subproblem solves, step sizes) runs on
+the three operations here: a pivot-reporting Cholesky positive-definiteness
+check, the dominant eigenvalue of a Gram matrix, and an SPD linear solve.
+Matrices and vectors are plain numpy arrays validated on entry; problems at
+the intended scale are small and dense, so there is no sparse path.
 
 Positive definiteness is always decided by Cholesky pivots with a relative
 tolerance, never by eigensolvers: the pivot sequence is deterministic and the
@@ -133,67 +132,13 @@ def solve_spd(S, rhs, tol: float = 1e-10) -> np.ndarray:
     return np.linalg.solve(res.factor.T, y)
 
 
-@dataclass(frozen=True)
-class PowerResult:
-    """Power-iteration estimate of a dominant eigenvalue."""
+def spectral_radius_gram(A) -> float:
+    """Largest eigenvalue of A^T A, the squared spectral norm of A.
 
-    value: float
-    converged: bool
-    iterations: int
-
-
-def _power_iterate(A: np.ndarray, q0: np.ndarray, tol: float, max_iter: int) -> PowerResult:
-    # Rayleigh quotient iteration on the Gram matrix A^T A, applied as two
-    # matvecs so the Gram matrix is never formed.
-    q = q0 / np.linalg.norm(q0)
-    lam = float(np.linalg.norm(A @ q) ** 2)
-    for it in range(1, max_iter + 1):
-        z = A.T @ (A @ q)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return PowerResult(0.0, True, it)
-        q = z / nz
-        Aq = A @ q
-        lam = float(Aq @ Aq)
-        resid = np.linalg.norm(A.T @ Aq - lam * q)
-        if resid <= tol * max(lam, np.finfo(float).tiny):
-            return PowerResult(lam, True, it)
-    return PowerResult(lam, False, max_iter)
-
-
-def spectral_radius_gram(A, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest eigenvalue of A^T A by power iteration, deterministic starts.
-
-    Runs from two fixed start vectors, all-ones and the index ramp 1..n,
-    and returns the larger Rayleigh estimate. A single fixed start can be
-    exactly orthogonal to the dominant eigenvector (the all-ones vector is
-    for A^T A = [[2,-1],[-1,2]]), which would silently underestimate the
-    radius; two independent deterministic starts close that hole while
-    keeping runs reproducible.
-
-    Returns 0.0 exactly for the zero matrix. For convergence diagnostics
-    use the PowerResult from the underlying iteration; at this package's
-    matrix sizes max_iter is never the binding constraint.
+    Computed from the largest singular value of A, so the result does not
+    depend on a start vector. Returns 0.0 exactly for the zero matrix.
     """
     A = as_matrix(A, "A")
     if not np.any(A):
         return 0.0
-    n = A.shape[1]
-    ones = np.ones(n)
-    ramp = np.arange(1.0, n + 1.0)
-    best = PowerResult(-np.inf, False, 0)
-    for start in (ones, ramp):
-        res = _power_iterate(A, start, tol, max_iter)
-        if res.value > best.value:
-            best = res
-    return best.value
-
-
-def weighted_norm_sq(H, v, tol: float = 1e-8) -> float:
-    """Quadratic form v^T H v for symmetric H."""
-    H = as_matrix(H, "H")
-    v = as_vector(v, "v")
-    check_symmetric(H, tol, "H")
-    if H.shape[0] != v.size:
-        raise ValueError(f"dimension mismatch: H is {H.shape}, v has size {v.size}")
-    return float(v @ (H @ v))
+    return float(np.linalg.norm(A, 2) ** 2)

@@ -4,17 +4,23 @@ The accelerated mode scales its extrapolation by weights tau^k tied together
 by the recurrence 1/tau^{k-1} = (1 - tau^k)/tau^k, seeded by a value
 tau_init in (0,1) at index -1. The recurrence telescopes to the closed form
 tau^k = 1/(1/tau_init + k + 1), so tau^k behaves like 1/k; both forms are
-provided and must agree to near machine precision.
+provided and must agree to near machine precision. The run loop iterates
+tau_next from tau_init, so its weights are the recurrence's floats.
 """
 from __future__ import annotations
+
+import math
 
 DEFAULT_TAU_INIT = 0.5
 
 
 def _check_unit_interval(value: float, name: str) -> float:
+    # Below about 5.6e-309 the reciprocal overflows, so the next weight would
+    # be exactly 0 and the prediction's division by tau undefined.
     value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0, 1), got {value}")
+    if not (0.0 < value < 1.0 and math.isfinite(1.0 / value)):
+        raise ValueError(
+            f"{name} must lie strictly inside (0, 1) with a finite reciprocal, got {value}")
     return value
 
 
@@ -32,30 +38,3 @@ def tau_at(tau_init: float, k: int) -> float:
         raise ValueError(f"k must be >= 0, got {k}")
     return 1.0 / (1.0 / tau_init + k + 1.0)
 
-
-class TauSchedule:
-    """Lazily cached weight sequence generated by the recurrence.
-
-    tau_init is the index -1 seed; at(k) returns tau^k for k >= 0. Values
-    are generated by repeated tau_next so the defining recurrence holds for
-    every cached pair, and the closed form tau_at serves as a cross-check.
-    """
-
-    def __init__(self, tau_init: float = DEFAULT_TAU_INIT):
-        self.tau_init = _check_unit_interval(tau_init, "tau_init")
-        self._cache = [tau_next(self.tau_init)]
-
-    def at(self, k: int) -> float:
-        k = int(k)
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        while len(self._cache) <= k:
-            self._cache.append(tau_next(self._cache[-1]))
-        return self._cache[k]
-
-    def generated(self) -> tuple[float, ...]:
-        """All weights computed so far, tau^0 .. tau^K."""
-        return tuple(self._cache)
-
-    def __repr__(self):
-        return f"TauSchedule(tau_init={self.tau_init}, generated={len(self._cache)})"

@@ -76,9 +76,9 @@ def solve_prediction_inclusion(f: ProxOp, W, q, tau: float = 1.0, anchor=None):
 
     rho = _as_scale(W, n)
     if rho is None or rho <= 0.0:
+        got = repr(float(W)) if np.isscalar(W) else f"a weight of shape {np.shape(W)}"
         raise SubproblemError(
-            "prox subproblem needs a positive scalar quadratic weight, "
-            f"got {W!r}")
+            f"prox subproblem needs a positive scalar quadratic weight, got {got}")
     x_breve = f.prox((1.0 - tau) * anchor - (tau / rho) * q, rho / tau)
     x_tilde = (x_breve - (1.0 - tau) * anchor) / tau
     return x_breve, x_tilde

@@ -127,6 +127,19 @@ def test_run_uncertified_guard(tmp_path, capsys):
     assert summary["uncertified"] is True
 
 
+def test_run_divergence_writes_trace_and_exits_1(tmp_path, capsys):
+    # uncertified steps make the iterates overflow; the rows before it stay
+    code, _, _ = call(capsys, "run", "--generator", "saddle-quadratic",
+                      "--seed", "0", "--param", "n=5", "--param", "m=4",
+                      "--param", "r=0.05", "--param", "s=0.05", "--budget", "1000",
+                      "--override-uncertified", "--out", str(tmp_path))
+    assert code == 1
+    rows = (tmp_path / "trace.csv").read_text().strip().splitlines()[1:]
+    assert 0 < len(rows) < 1000
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["failure"].startswith(f"diverged at k={len(rows)}: ")
+
+
 def test_run_from_instance_file(tmp_path, capsys):
     from predcorr import instance_to_document, make_saddle_quadratic
     doc = instance_to_document(make_saddle_quadratic(2, 2, 2))

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from predcorr import (
     AsymmetryError,
@@ -9,10 +12,11 @@ from predcorr import (
     SolverState,
     UncertifiedSpecError,
     certify,
-    correct,
+    make_matrix_game,
     make_multiblock_quadratic,
     make_saddle_quadratic,
     make_two_block_l1,
+    make_two_block_quadratic,
     run,
     tau_at,
 )
@@ -64,16 +68,6 @@ def test_correction_spec_validation():
         CorrectionSpec(L=np.eye(2), Q=np.eye(3), M=np.eye(2))
 
 
-def test_correct():
-    v = np.array([1.0, 0.0])
-    vt = np.array([0.0, 1.0])
-    M = np.array([[0.5, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(correct(v, vt, M), v - M @ (v - vt))
-    np.testing.assert_allclose(correct(v, v, M), v)
-    with pytest.raises(ValueError):
-        correct(v, np.zeros(3), M)
-
-
 def test_run_baseline_trace_shape():
     inst = make_two_block_l1(0, 2, 0.5)
     trace = run(inst, "baseline", 25)
@@ -101,6 +95,9 @@ def test_run_rejects_bad_args():
         run(inst, "fastest", 10)
     with pytest.raises(ValueError):
         run(inst, "baseline", -1)
+    for bad in (0.0, 1.0, 5e-324):  # tau_init is checked even at budget 0
+        with pytest.raises(ValueError):
+            run(inst, "faster", 0, tau_init=bad)
     trace = run(inst, "baseline", 0)
     assert len(trace.records) == 0
 
@@ -159,3 +156,61 @@ def test_run_first_residual(make):
     d = M @ (L @ breve.concat() - v0)
     got = run(inst, "faster", 1, w0=w0, tau_init=0.5).records[0].pointwise_residual
     assert got == pytest.approx(d @ H @ d, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+def test_run_divergence_ends_in_failure(mode):
+    # steps far outside the certified region blow the iterates up; the run
+    # stops at the first overflow and keeps every finite row before it
+    inst = make_saddle_quadratic(0, 5, 4, r=0.05, s=0.05)
+    trace = run(inst, mode, 1000, override_uncertified=True)
+    assert 0 < len(trace.records) < 1000
+    assert trace.failure.startswith(f"diverged at k={len(trace.records)}: ")
+    for rec in trace.records:
+        assert np.all(np.isfinite(rec.csv_fields()))
+    assert np.all(np.isfinite(trace.final_v))
+
+
+def test_run_subproblem_failure_is_one_line():
+    # a non-scalar P leaves the l1 step without a closed-form prox
+    inst = make_two_block_l1(0, 3, 0.5)
+    inst = replace(inst, spec=replace(inst.spec, P=np.diag([1.0, 2.0, 3.0])))
+    trace = run(inst, "baseline", 5)
+    assert len(trace.records) == 0
+    assert "\n" not in trace.failure
+    assert "shape (3, 3)" in trace.failure
+
+
+def _small_instance(family, seed, n, m):
+    if family == "two-block-quadratic":
+        return make_two_block_quadratic(seed, n, m, n + m)
+    if family == "two-block-l1":
+        return make_two_block_l1(seed, n, 0.5)
+    if family == "multi-block-quadratic":
+        return make_multiblock_quadratic(seed, m, n, n)
+    if family == "saddle-quadratic":
+        return make_saddle_quadratic(seed, n, m)
+    return make_matrix_game(np.random.default_rng(seed).normal(size=(m, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["two-block-quadratic", "two-block-l1",
+                               "multi-block-quadratic", "saddle-quadratic",
+                               "matrix-game"]),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+       budget=st.integers(1, 25),
+       # seeds whose reciprocal overflows are rejected on entry
+       # (test_run_rejects_bad_args); the smallest normal float is above them
+       tau_init=st.floats(np.finfo(float).tiny, 1.0, exclude_max=True))
+def test_run_faster_never_raises_on_certified_instances(family, seed, n, m, budget,
+                                                        tau_init):
+    inst = _small_instance(family, seed, n, m)
+    assume(certify(inst.spec.correction_spec()).satisfied)
+    trace = run(inst, "faster", budget, tau_init=tau_init)
+    if tau_init >= 1e-150:
+        assert len(trace.records) == budget
+        assert trace.failure is None
+    else:
+        # from the zero start, outside the matrix game's simplices, the first
+        # tilde point is O(1/tau_init) and its squared H-norm overflows
+        assert trace.failure is None or trace.failure.startswith("diverged at k=")

@@ -6,7 +6,6 @@ from predcorr import (
     cholesky_pd_check,
     solve_spd,
     spectral_radius_gram,
-    weighted_norm_sq,
 )
 from predcorr.linalg import check_symmetric
 
@@ -71,9 +70,3 @@ def test_spectral_radius_gram_second_start():
     np.testing.assert_allclose(G, [[2.0, -1.0], [-1.0, 2.0]])
     assert spectral_radius_gram(A) == pytest.approx(3.0, rel=1e-9)
 
-
-def test_weighted_norm_sq():
-    H = np.array([[2.0, 0.0], [0.0, 3.0]])
-    v = np.array([1.0, -2.0])
-    assert weighted_norm_sq(H, v) == pytest.approx(2.0 + 12.0)
-    assert weighted_norm_sq(H, np.zeros(2)) == 0.0

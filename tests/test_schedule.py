@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from predcorr import DEFAULT_TAU_INIT, TauSchedule, tau_at, tau_next
+from predcorr import DEFAULT_TAU_INIT, tau_at, tau_next
 
 
 def test_closed_form_matches_recurrence():
@@ -29,26 +29,25 @@ def test_decay_envelope():
 
 
 def test_validation():
-    for bad in (0.0, -0.1, 1.0, 1.5, np.nan):
+    for bad in (0.0, -0.1, 1.0, 1.5, np.nan, 5e-324):  # 1/5e-324 overflows
         with pytest.raises(ValueError):
             tau_at(bad, 0)
     with pytest.raises(ValueError):
         tau_at(0.5, -1)
     with pytest.raises(ValueError):
         tau_next(0.0)
+    with pytest.raises(ValueError):
+        tau_next(5e-324)
 
 
 def test_schedule_iteration():
-    sched = TauSchedule(0.5)
-    vals = [sched.at(k) for k in range(5)]
+    vals, tau = [], 0.5
+    for _ in range(5):
+        tau = tau_next(tau)
+        vals.append(tau)
     want = [1.0 / 3.0, 0.25, 0.2, 1.0 / 6.0, 1.0 / 7.0]
     np.testing.assert_allclose(vals, want, rtol=1e-15)
-    assert sched.at(2) == 0.2  # cached lookup
-    assert sched.tau_init == 0.5
-    assert len(sched.generated()) == 5
     assert DEFAULT_TAU_INIT == 0.5
-    with pytest.raises(ValueError):
-        sched.at(-1)
 
 
 @given(st.floats(0.01, 0.99), st.integers(0, 1000))

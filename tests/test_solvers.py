@@ -12,7 +12,6 @@ from predcorr import (
     SubproblemError,
     TwoBlockSpec,
     certify,
-    correct,
     make_multiblock_quadratic,
     make_saddle_quadratic,
     make_two_block_quadratic,
@@ -120,7 +119,7 @@ def test_two_block_hand_sweep():
     # correction with M rows [1,0,0], [0,1,0], [0, -s*beta*A2, r+s]:
     # new lam = 0 - (-1/2*3/8 + 1*1/2 - 0) reversed => M @ tilde = 5/16
     M = spec.correction_spec().M
-    v1 = correct(state.v_curr, spec.image(tilde), M)
+    v1 = state.v_curr - M @ (state.v_curr - spec.image(tilde))
     np.testing.assert_allclose(v1, [0.5, 0.375, 0.3125], rtol=1e-14)
 
 
