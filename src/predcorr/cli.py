@@ -127,9 +127,9 @@ def build_instance(cfg: RunConfig):
     args = (seed,) if "seed" in signature.parameters else ()
     try:
         signature.bind(*args, **cfg.params)
-    except TypeError as exc:
+        return make(*args, **cfg.params)
+    except TypeError as exc:  # a missing or unknown name, or a wrong-typed value
         raise ValueError(f"generator {cfg.generator!r}: {exc}") from None
-    return make(*args, **cfg.params)
 
 
 def write_trace_csv(trace: IterationTrace, path) -> None:
@@ -290,6 +290,9 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object, "
+                             f"got {type(doc).__name__}")
         for key, value in doc.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config field {key!r}")

@@ -1,8 +1,8 @@
 """Generic prediction-correction engine.
 
-A scheme is specified by three matrices (L, Q, M): L maps a full iterate w
-to the image-space state v = L w that the correction updates, Q scales the
-prediction inclusion, and M drives the correction v <- v - M (v - v_tilde).
+A scheme is specified by two matrices (Q, M) on the image-space state
+v = spec.image(w) that the correction updates: Q scales the prediction
+inclusion, and M drives the correction v <- v - M (v - v_tilde).
 Before any run the scheme must pass the convergence condition, checked here
 as a certificate: H = Q M^{-1} symmetric positive definite and
 G = Q^T + Q - M^T H M positive definite. All rate guarantees measured by
@@ -42,29 +42,19 @@ class SubproblemError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorrectionSpec:
-    """The matrix triple (L, Q, M) defining one prediction-correction scheme."""
+    """The matrix pair (Q, M) defining one prediction-correction scheme."""
 
-    L: np.ndarray
     Q: np.ndarray
     M: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "L", as_matrix(self.L, "L"))
         object.__setattr__(self, "Q", as_matrix(self.Q, "Q"))
         object.__setattr__(self, "M", as_matrix(self.M, "M"))
-        dim_v = self.L.shape[0]
+        dim = self.Q.shape[0]
         for name, mat in (("Q", self.Q), ("M", self.M)):
-            if mat.shape != (dim_v, dim_v):
+            if mat.shape != (dim, dim):
                 raise ValueError(
-                    f"{name} must be square of dim {dim_v}, got {mat.shape}")
-
-    @property
-    def dim_v(self) -> int:
-        return self.L.shape[0]
-
-    @property
-    def dim_w(self) -> int:
-        return self.L.shape[1]
+                    f"{name} must be square of dim {dim}, got {mat.shape}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +117,8 @@ class SolverState:
     """Mutable iteration state handed to the family predictors.
 
     v_curr is the authoritative image-space state. w_curr mirrors it as
-    named blocks whenever L is invertible on the stored blocks (two-block
-    and saddle schemes, where L = I); for the image-space multi-block
+    named blocks whenever the image map is invertible (two-block and
+    saddle schemes, where it is the identity); for the image-space multi-block
     scheme it is None after the first correction. breve_prev holds the full
     accelerated iterate of the previous step; predictors read it only when
     tau < 1.

@@ -1,9 +1,10 @@
 """Test problems with ground-truth oracles, plus the gap metrics.
 
-Every instance bundles a solver spec with the pieces of its variational
-form: theta (the separable objective value), the affine skew operator F,
-and, when one is analytically available, the oracle point w_star. The gap
-reported in traces is
+Every instance bundles a solver spec with, when one is available, the
+oracle point w_star. Its variational form comes from the spec: theta sums
+the spec's objectives over their blocks, and the affine skew operator
+F(w) = K w + h comes from the spec's coupling (As, b). The gap reported in
+traces is
 
     gap(w_hat; w_ref) = theta(u_hat) - theta(u_ref) + (w_hat - w_ref)' F(w_ref)
 
@@ -17,7 +18,6 @@ platforms and implementations: each draw maps the top 53 bits of the next
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,6 @@ from .blocks import BlockVector
 from .linalg import as_matrix, as_vector, cholesky_pd_check, spectral_radius_gram
 from .prox import L1Penalty, ProxOp, QuadraticCost, SimplexIndicator, soft_threshold
 from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec
-
-FAMILIES = ("two-block", "multi-block", "saddle")
 
 _MASK64 = (1 << 64) - 1
 
@@ -79,38 +77,47 @@ class FOperator:
 
 @dataclass(frozen=True)
 class VariationalInstance:
-    """One solvable problem: spec + variational pieces + optional oracle."""
+    """One solvable problem: a spec and, when known, its oracle point.
 
-    family: str
+    F is built from the spec's coupling: K holds -A_i' above the last block
+    and A_i beside it, and h is -b on the last block (zero when b is None,
+    the saddle's bilinear coupling, whose last block is the dual y).
+    """
+
     spec: object
-    theta: object
-    F_op: FOperator
     w_star: BlockVector | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        As, b = self.spec.coupling
+        A = np.hstack(As)
+        l, n = A.shape
+        K = np.block([[np.zeros((n, n)), -A.T], [A, np.zeros((l, l))]])
+        h = np.zeros(n + l) if b is None else np.concatenate([np.zeros(n), -b])
+        object.__setattr__(self, "F_op", FOperator(K, h))
         if self.w_star is not None:
-            if not self.w_star.same_structure(self.spec.initial_point()):
-                raise ValueError("w_star does not match the spec's blocks")
-            if self.feasibility(self.w_star) > 1e-10:
-                raise ValueError("oracle point is not feasible")
+            self._check_oracle()
+
+    def _check_oracle(self):
+        if not self.w_star.same_structure(self.spec.initial_point()):
+            raise ValueError("w_star does not match the spec's blocks")
+        if self.feasibility(self.w_star) > 1e-10:
+            raise ValueError("oracle point is not feasible")
+
+    @property
+    def family(self) -> str:
+        return self.spec.family
 
     def objective(self, w: BlockVector) -> float:
-        return float(self.theta(w))
+        """theta(u): the spec's objectives summed over their blocks."""
+        return float(sum(f.value(w[i]) for i, f in enumerate(self.spec.objectives)))
 
     def feasibility(self, w: BlockVector) -> float:
-        """Constraint residual ||sum_i A_i x_i - b||; zero for saddle problems."""
-        if self.family == "saddle":
+        """Constraint residual ||sum_i A_i x_i - b||; zero without a constraint."""
+        As, b = self.spec.coupling
+        if b is None:
             return 0.0
-        if self.family == "two-block":
-            res = self.spec.A1 @ w["x1"] + self.spec.A2 @ w["x2"] - self.spec.b
-        else:
-            res = -self.spec.b
-            for i, A in enumerate(self.spec.A_i):
-                res = res + A @ w[i]
-        return float(np.linalg.norm(res))
+        return float(np.linalg.norm(sum((A @ w[i] for i, A in enumerate(As)), -b)))
 
     def gap_to_star(self, w: BlockVector) -> float:
         if self.w_star is None:
@@ -123,96 +130,35 @@ def gap_at(w_hat: BlockVector, w_ref: BlockVector, instance: VariationalInstance
     if not w_hat.same_structure(w_ref):
         raise ValueError("w_hat and w_ref structures disagree")
     diff = w_hat.concat() - w_ref.concat()
-    return float(instance.theta(w_hat) - instance.theta(w_ref)
+    return float(instance.objective(w_hat) - instance.objective(w_ref)
                  + diff @ instance.F_op(w_ref))
-
-
-# ---------------------------------------------------------------------------
-# instance assembly
-
-def _e1_instance(family: str, spec, seed) -> VariationalInstance:
-    """Linearly constrained family: theta sums the f_i, F couples x and lam."""
-    if family == "two-block":
-        fs = (spec.prox_f1, spec.prox_f2)
-        As = (spec.A1, spec.A2)
-    else:
-        fs, As = spec.prox_f_i, spec.A_i
-    n = sum(A.shape[1] for A in As)
-    l = spec.b.size
-    K = np.zeros((n + l, n + l))
-    col = 0
-    for A in As:
-        K[col:col + A.shape[1], n:] = -A.T
-        K[n:, col:col + A.shape[1]] = A
-        col += A.shape[1]
-    h = np.concatenate([np.zeros(n), -spec.b])
-
-    def theta(w):
-        return sum(f.value(w[i]) for i, f in enumerate(fs))
-
-    return VariationalInstance(family=family, spec=spec, theta=theta,
-                               F_op=FOperator(K, h), seed=seed)
-
-
-def _saddle_instance(spec: SaddleSpec, seed) -> VariationalInstance:
-    n, m = spec.n_primal, spec.n_dual
-    K = np.zeros((n + m, n + m))
-    K[:n, n:] = -spec.A.T
-    K[n:, :n] = spec.A
-    h = np.zeros(n + m)
-
-    def theta(w):
-        return spec.prox_f.value(w["x"]) + spec.prox_g.value(w["y"])
-
-    return VariationalInstance(family="saddle", spec=spec, theta=theta,
-                               F_op=FOperator(K, h), seed=seed)
 
 
 def kkt_oracle(instance: VariationalInstance) -> BlockVector:
     """Solve the affine optimality system of a quadratic instance directly.
 
-    Assembles the full stationarity + feasibility system and solves it in
-    one shot, independent of any iterative scheme, then verifies the
-    operator residual at the solution before returning it.
+    The system is (K + diag(S_i)) w = c - h: F's skew part plus each
+    objective's S on its block, solved in one shot independent of any
+    iterative scheme; the operator residual at the solution is verified
+    before it is returned.
     """
     spec = instance.spec
-    if instance.family == "saddle":
-        fs = (spec.prox_f, spec.prox_g)
-    elif instance.family == "two-block":
-        fs = (spec.prox_f1, spec.prox_f2)
-    else:
-        fs = spec.prox_f_i
+    fs = spec.objectives
     if not all(isinstance(f, QuadraticCost) for f in fs):
         raise ValueError("oracle needs quadratic objectives throughout")
+    _, b = spec.coupling
+    if b is not None and b.size < 1:
+        raise ValueError("oracle requires at least one constraint row")
 
     names = spec.block_names()
     dims = spec.block_dims()
-    total = sum(dims)
-    kkt = np.zeros((total, total))
-    rhs = np.zeros(total)
     offs = np.cumsum((0,) + dims)
-
-    if instance.family == "saddle":
-        # (S_f x - c_f - A'y, S_g y - c_g + A x) = 0
-        n = dims[0]
-        kkt[:n, :n] = fs[0].S
-        kkt[:n, n:] = -spec.A.T
-        kkt[n:, :n] = spec.A
-        kkt[n:, n:] = fs[1].S
-        rhs[:n] = fs[0].c
-        rhs[n:] = fs[1].c
-    else:
-        As = (spec.A1, spec.A2) if instance.family == "two-block" else spec.A_i
-        l = dims[-1]
-        if l < 1:
-            raise ValueError("oracle requires at least one constraint row")
-        for i, (f, A) in enumerate(zip(fs, As)):
-            lo, hi = offs[i], offs[i + 1]
-            kkt[lo:hi, lo:hi] = f.S
-            kkt[lo:hi, total - l:] = -A.T
-            kkt[total - l:, lo:hi] = A
-            rhs[lo:hi] = f.c
-        rhs[total - l:] = spec.b
+    kkt = instance.F_op.K.copy()
+    rhs = -instance.F_op.h  # c is zero on a multiplier block
+    for i, f in enumerate(fs):
+        lo, hi = offs[i], offs[i + 1]
+        kkt[lo:hi, lo:hi] = f.S  # K is zero on the diagonal blocks
+        rhs[lo:hi] += f.c
 
     try:
         sol = np.linalg.solve(kkt, rhs)
@@ -220,13 +166,20 @@ def kkt_oracle(instance: VariationalInstance) -> BlockVector:
         raise ValueError(f"singular optimality system: {exc}") from exc
 
     w_star = BlockVector.from_concat(names, dims, sol)
-    grads = np.concatenate(
-        [fs[i].grad(w_star[i]) for i in range(len(fs))]
-        + ([np.zeros(dims[-1])] if instance.family != "saddle" else []))
+    grads = np.concatenate([f.grad(w_star[i]) for i, f in enumerate(fs)]
+                           + [np.zeros(offs[-1] - offs[len(fs)])])
     resid = float(np.linalg.norm(grads + instance.F_op(w_star)))
     if resid > 1e-10 * (1.0 + float(np.linalg.norm(rhs))):
         raise ValueError(f"oracle residual {resid:.3e} out of tolerance")
     return w_star
+
+
+def _with_kkt_oracle(spec, seed) -> VariationalInstance:
+    """The instance of a quadratic spec with its KKT point attached."""
+    inst = VariationalInstance(spec, seed=seed)  # a copy would build F again
+    object.__setattr__(inst, "w_star", kkt_oracle(inst))
+    inst._check_oracle()
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +210,10 @@ def make_two_block_quadratic(seed: int, n1: int, n2: int, l: int, *,
         spec = TwoBlockSpec(QuadraticCost.distance_to(a1),
                             QuadraticCost.distance_to(a2),
                             A1, A2, b, beta, r, s, P)
-        inst = _e1_instance("two-block", spec, seed)
         try:
-            w_star = kkt_oracle(inst)
+            return _with_kkt_oracle(spec, seed)
         except ValueError:
             continue
-        return dataclasses.replace(inst, w_star=w_star)
     raise ValueError("no full-rank draw in 5 attempts; change seed or dims")
 
 
@@ -285,8 +236,7 @@ def make_two_block_l1(seed: int, n: int, mu: float, *,
                         eye, -eye, np.zeros(n), beta, r, s, None)
     x_star = soft_threshold(a, mu)
     w_star = BlockVector(spec.block_names(), (x_star, x_star, a - x_star))
-    inst = _e1_instance("two-block", spec, seed)
-    return dataclasses.replace(inst, w_star=w_star)
+    return VariationalInstance(spec, w_star, seed)
 
 
 def make_multiblock_quadratic(seed: int, m: int, n_i, l: int, *,
@@ -312,8 +262,7 @@ def make_multiblock_quadratic(seed: int, m: int, n_i, l: int, *,
             continue
         spec = MultiBlockSpec(tuple(QuadraticCost.distance_to(a) for a in anchors),
                               tuple(As), b, beta, alpha)
-        inst = _e1_instance("multi-block", spec, seed)
-        return dataclasses.replace(inst, w_star=kkt_oracle(inst))
+        return _with_kkt_oracle(spec, seed)
     raise ValueError("no full-row-rank draw in 5 attempts; change seed or dims")
 
 
@@ -358,10 +307,7 @@ def make_matrix_game(A, *, r: float = None, s: float = None,
         if worst_y - worst_x <= 1e-10 * (1.0 + float(np.max(np.abs(A)))):
             w_star = BlockVector(spec.block_names(), (x, y))
 
-    inst = _saddle_instance(spec, seed=None)
-    if w_star is not None:
-        inst = dataclasses.replace(inst, w_star=w_star)
-    return inst
+    return VariationalInstance(spec, w_star)
 
 
 def make_saddle_quadratic(seed: int, n: int, m: int, *,
@@ -381,8 +327,7 @@ def make_saddle_quadratic(seed: int, n: int, m: int, *,
     r, s = _saddle_steps(A, alpha, r, s)
     spec = SaddleSpec(QuadraticCost.distance_to(a), QuadraticCost.distance_to(c),
                       A, r, s, alpha)
-    inst = _saddle_instance(spec, seed)
-    return dataclasses.replace(inst, w_star=kkt_oracle(inst))
+    return _with_kkt_oracle(spec, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -391,46 +336,49 @@ def make_saddle_quadratic(seed: int, n: int, m: int, *,
 def instance_to_document(instance: VariationalInstance) -> dict:
     """Plain-dict form of an instance; matrices as row-major nested lists."""
     spec = instance.spec
+    As, b = spec.coupling
     doc = {"family": instance.family, "seed": instance.seed,
-           "m": None, "A": None, "b": None, "beta": None,
-           "r": None, "s": None, "alpha": None, "P": None}
+           "m": len(As), "A": [A.tolist() for A in As],
+           "b": None if b is None else b.tolist(), "beta": None,
+           "r": None, "s": None, "alpha": None, "P": None,
+           "objective": [f.to_json() for f in spec.objectives],
+           "w_star": None if instance.w_star is None
+           else [blk.tolist() for blk in instance.w_star.blocks]}
     if instance.family == "two-block":
-        doc.update(m=2, A=[spec.A1.tolist(), spec.A2.tolist()], b=spec.b.tolist(),
-                   beta=spec.beta, r=spec.r, s=spec.s, P=spec.P.tolist(),
-                   objective=[spec.prox_f1.to_json(), spec.prox_f2.to_json()])
+        doc.update(beta=spec.beta, r=spec.r, s=spec.s, P=spec.P.tolist())
     elif instance.family == "multi-block":
-        doc.update(m=spec.m, A=[A.tolist() for A in spec.A_i], b=spec.b.tolist(),
-                   beta=spec.beta, alpha=spec.alpha,
-                   objective=[f.to_json() for f in spec.prox_f_i])
+        doc.update(beta=spec.beta, alpha=spec.alpha)
     else:
-        doc.update(m=1, A=[spec.A.tolist()], r=spec.r, s=spec.s, alpha=spec.alpha,
-                   objective=[spec.prox_f.to_json(), spec.prox_g.to_json()])
-    if instance.w_star is not None:
-        doc["w_star"] = [blk.tolist() for blk in instance.w_star.blocks]
-    else:
-        doc["w_star"] = None
+        doc.update(r=spec.r, s=spec.s, alpha=spec.alpha)
     return doc
 
 
 def instance_from_document(doc: dict) -> VariationalInstance:
-    """Rebuild an instance from its document form, oracle included."""
-    family = doc["family"]
-    fs = [ProxOp.from_json(fdoc) for fdoc in doc["objective"]]
-    if family == "two-block":
-        spec = TwoBlockSpec(fs[0], fs[1], doc["A"][0], doc["A"][1], doc["b"],
-                            doc["beta"], doc["r"], doc["s"], doc["P"])
-        inst = _e1_instance(family, spec, doc.get("seed"))
-    elif family == "multi-block":
-        spec = MultiBlockSpec(tuple(fs), tuple(np.array(A) for A in doc["A"]),
-                              doc["b"], doc["beta"], doc["alpha"])
-        inst = _e1_instance(family, spec, doc.get("seed"))
-    elif family == "saddle":
-        spec = SaddleSpec(fs[0], fs[1], doc["A"][0], doc["r"], doc["s"], doc["alpha"])
-        inst = _saddle_instance(spec, doc.get("seed"))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if doc.get("w_star") is not None:
-        w_star = BlockVector(spec.block_names(),
-                             tuple(np.array(blk) for blk in doc["w_star"]))
-        inst = dataclasses.replace(inst, w_star=w_star)
-    return inst
+    """Rebuild an instance from its document form, oracle included.
+
+    A document that is not an object, or lacks a field or gives one of the
+    wrong type, raises ValueError naming what is wrong.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance document must be a JSON object, got {type(doc).__name__}")
+    try:
+        family = doc["family"]
+        fs = [ProxOp.from_json(fdoc) for fdoc in doc["objective"]]
+        if family == "two-block":
+            spec = TwoBlockSpec(fs[0], fs[1], doc["A"][0], doc["A"][1], doc["b"],
+                                doc["beta"], doc["r"], doc["s"], doc["P"])
+        elif family == "multi-block":
+            spec = MultiBlockSpec(tuple(fs), tuple(np.array(A) for A in doc["A"]),
+                                  doc["b"], doc["beta"], doc["alpha"])
+        elif family == "saddle":
+            spec = SaddleSpec(fs[0], fs[1], doc["A"][0], doc["r"], doc["s"], doc["alpha"])
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        w_star = doc.get("w_star")
+        if w_star is not None:
+            w_star = BlockVector(spec.block_names(), tuple(np.array(blk) for blk in w_star))
+    except KeyError as exc:
+        raise ValueError(f"instance document has no field {exc}") from None
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed instance document: {exc}") from None
+    return VariationalInstance(spec, w_star, doc.get("seed"))

@@ -1,8 +1,11 @@
 """Concrete prediction steps for the three shipped problem families.
 
-Each family bundles its data in a frozen spec carrying the matrix triple
-(L, Q, M) of its scheme plus the prediction subproblems. Every subproblem
-this package ships reduces to the inclusion
+Each family bundles its data in a frozen spec carrying the matrix pair
+(Q, M) of its scheme plus the prediction subproblems. A spec also holds its
+family name, its objectives (ProxOps in block order) and its coupling
+(As, b), the constraint sum_i A_i x_i = b (b is None for the saddle's
+bilinear term); problems.VariationalInstance derives theta and F from them.
+Every subproblem this package ships reduces to the inclusion
 
     0 in  df(x_breve) + W x_tilde + q,    x_breve = tau x_tilde + (1-tau) anchor
 
@@ -113,6 +116,8 @@ class TwoBlockSpec:
     s: float
     P: np.ndarray | None = None
 
+    family = "two-block"
+
     def __post_init__(self):
         object.__setattr__(self, "A1", as_matrix(self.A1, "A1"))
         object.__setattr__(self, "A2", as_matrix(self.A2, "A2"))
@@ -140,6 +145,8 @@ class TwoBlockSpec:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "_W1", self.beta * (self.A1.T @ self.A1) + P)
         object.__setattr__(self, "_W2", self.beta * gram2)
+        object.__setattr__(self, "objectives", (self.prox_f1, self.prox_f2))
+        object.__setattr__(self, "coupling", ((self.A1, self.A2), self.b))
 
     @property
     def n1(self) -> int:
@@ -177,7 +184,7 @@ class TwoBlockSpec:
         M = np.eye(n1 + n2 + l)
         M[n1 + n2:, n1:n1 + n2] = -s * beta * A2
         M[n1 + n2:, n1 + n2:] = (r + s) * np.eye(l)
-        return CorrectionSpec(L=np.eye(n1 + n2 + l), Q=Q, M=M)
+        return CorrectionSpec(Q=Q, M=M)
 
     def initial_point(self) -> BlockVector:
         return BlockVector.zeros(self.block_names(), self.block_dims())
@@ -233,6 +240,8 @@ class MultiBlockSpec:
     beta: float
     alpha: float
 
+    family = "multi-block"
+
     def __post_init__(self):
         fs = tuple(self.prox_f_i)
         mats = tuple(as_matrix(A, f"A_{i + 1}") for i, A in enumerate(self.A_i))
@@ -251,6 +260,9 @@ class MultiBlockSpec:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        object.__setattr__(self, "_W", tuple(self.beta * (A.T @ A) for A in mats))
+        object.__setattr__(self, "objectives", fs)
+        object.__setattr__(self, "coupling", (mats, self.b))
 
     @property
     def m(self) -> int:
@@ -266,24 +278,12 @@ class MultiBlockSpec:
     def block_dims(self):
         return tuple(A.shape[1] for A in self.A_i) + (self.n_constraints,)
 
-    def image_names(self):
-        return tuple(f"v{i + 1}" for i in range(self.m)) + ("vlam",)
-
     def in_certified_region(self, margin: float = 1e-12) -> bool:
         return margin < self.alpha < 1.0 - margin
 
     def correction_spec(self) -> CorrectionSpec:
         m, l = self.m, self.n_constraints
-        rb = np.sqrt(self.beta)
         eye = np.eye(l)
-        dims = self.block_dims()
-        L = np.zeros(((m + 1) * l, sum(dims)))
-        col = 0
-        for i, A in enumerate(self.A_i):
-            L[i * l:(i + 1) * l, col:col + A.shape[1]] = rb * A
-            col += A.shape[1]
-        L[m * l:, col:] = eye / rb
-
         Q = np.zeros(((m + 1) * l, (m + 1) * l))
         for i in range(m):
             for j in range(i + 1):
@@ -298,7 +298,7 @@ class MultiBlockSpec:
                 M[i * l:(i + 1) * l, (i + 1) * l:(i + 2) * l] = -self.alpha * eye
         M[m * l:, :l] = -self.alpha * eye
         M[m * l:, m * l:] = eye
-        return CorrectionSpec(L=L, Q=Q, M=M)
+        return CorrectionSpec(Q=Q, M=M)
 
     def initial_point(self) -> BlockVector:
         return BlockVector.zeros(self.block_names(), self.block_dims())
@@ -324,8 +324,7 @@ class MultiBlockSpec:
         tildes, breves = [], []
         drift = np.zeros(self.n_constraints)  # sum_{j<i} A_j (xt_j - x_j)
         sum_ax = np.zeros(self.n_constraints)
-        for i, (f, A) in enumerate(zip(self.prox_f_i, self.A_i)):
-            W = self.beta * (A.T @ A)
+        for i, (f, A, W) in enumerate(zip(self.prox_f_i, self.A_i, self._W)):
             q = -A.T @ lam + self.beta * (A.T @ (drift - ax[i]))
             a = prev[i] if prev is not None else None
             xb, xt = solve_prediction_inclusion(f, W, q, tau, a)
@@ -363,14 +362,20 @@ class SaddleSpec:
     s: float
     alpha: float
 
+    family = "saddle"
+
     def __post_init__(self):
         object.__setattr__(self, "A", as_matrix(self.A, "A"))
+        if 0 in self.A.shape:
+            raise ValueError(f"A needs a row and a column, got shape {self.A.shape}")
         for name in ("r", "s", "alpha"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.r > 0.0 and self.s > 0.0):
             raise ValueError("r and s must be positive")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        object.__setattr__(self, "objectives", (self.prox_f, self.prox_g))
+        object.__setattr__(self, "coupling", ((self.A,), None))
 
     @property
     def n_primal(self) -> int:
@@ -400,7 +405,7 @@ class SaddleSpec:
         Q[n:, n:] = self.s * np.eye(m)
         M = np.eye(n + m)
         M[n:, :n] = -((1.0 - self.alpha) / self.s) * self.A
-        return CorrectionSpec(L=np.eye(n + m), Q=Q, M=M)
+        return CorrectionSpec(Q=Q, M=M)
 
     def initial_point(self) -> BlockVector:
         return BlockVector.zeros(self.block_names(), self.block_dims())

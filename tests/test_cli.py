@@ -70,6 +70,31 @@ def test_bad_generator_params(tmp_path, capsys, command, params, named):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("source, named", [
+    (("--generator", "two-block-l1", "--param", "n=abc", "--param", "mu=0.5"),
+     "'two-block-l1'"),
+    (("--generator", "matrix-game", "--param", "A=[[]]"), "(1, 0)"),
+    (("--instance", {"family": "saddle"}), "'objective'"),
+    (("--instance", [1, 2]), "JSON object"),
+    (("--config", [1, 2]), "JSON object"),
+], ids=["wrong-type-param", "empty-game", "document-field", "document-list",
+        "config-list"])
+def test_malformed_input_exits_2(tmp_path, capsys, source, named):
+    # outside input that cannot make an instance ends with one stderr line
+    flag, value, *rest = source
+    if not isinstance(value, str):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(value))
+        value = str(path)
+    outdir = tmp_path / "out"
+    code, out, err = call(capsys, "run", flag, value, *rest, "--out", str(outdir))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 

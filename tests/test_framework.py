@@ -27,7 +27,7 @@ def cp_spec(a, r=1.0, s=1.0, alpha=0.5):
     # (1 - alpha + alpha^2) * a^2
     Q = np.array([[r, a], [alpha * a, s]])
     M = np.array([[1.0, 0.0], [-(1.0 - alpha) / s * a, 1.0]])
-    return CorrectionSpec(L=np.eye(2), Q=Q, M=M)
+    return CorrectionSpec(Q=Q, M=M)
 
 
 def test_certify_pass_and_fail():
@@ -49,23 +49,21 @@ def test_certify_h_oracle():
 
 
 def test_certify_singular_m():
-    spec = CorrectionSpec(L=np.eye(2), Q=np.eye(2),
-                          M=np.array([[1.0, 0.0], [0.0, 0.0]]))
+    spec = CorrectionSpec(Q=np.eye(2), M=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularCorrectionError):
         certify(spec)
 
 
 def test_certify_asymmetric_h():
     # M = I so H = Q, asymmetric by construction
-    spec = CorrectionSpec(L=np.eye(2),
-                          Q=np.array([[1.0, 1.0], [0.0, 1.0]]), M=np.eye(2))
+    spec = CorrectionSpec(Q=np.array([[1.0, 1.0], [0.0, 1.0]]), M=np.eye(2))
     with pytest.raises(AsymmetryError):
         certify(spec)
 
 
 def test_correction_spec_validation():
     with pytest.raises(ValueError):
-        CorrectionSpec(L=np.eye(2), Q=np.eye(3), M=np.eye(2))
+        CorrectionSpec(Q=np.eye(3), M=np.eye(2))
 
 
 def test_run_baseline_trace_shape():
@@ -135,25 +133,26 @@ def test_run_gap_decreases_on_l1():
     lambda: make_saddle_quadratic(3, 3, 2),
 ], ids=["two-block", "multi-block", "saddle"])
 def test_run_first_residual(make):
-    # record 0 is ||M (v0 - v~0)||_H^2 in baseline and ||M (v^0 - L w0)||_H^2
-    # in faster, built here from the certificate and one prediction
+    # record 0 is ||M (v0 - v~0)||_H^2 in baseline and ||M (v^0 - v0)||_H^2
+    # in faster, with v = spec.image(w), built here from the certificate and
+    # one prediction
     inst = make()
     spec = inst.spec
     cspec = spec.correction_spec()
-    H, L, M = certify(cspec).H, cspec.L, cspec.M
+    H, M = certify(cspec).H, cspec.M
     rng = np.random.default_rng(5)
     w0 = BlockVector(spec.block_names(),
                      tuple(rng.normal(size=d) for d in spec.block_dims()))
-    v0 = L @ w0.concat()
+    v0 = spec.image(w0)
     state = SolverState(v_curr=v0, w_curr=w0, breve_prev=w0)
 
     _, tilde = spec.predict(state, 1.0)
-    d = M @ (v0 - L @ tilde.concat())
+    d = M @ (v0 - spec.image(tilde))
     got = run(inst, "baseline", 1, w0=w0).records[0].pointwise_residual
     assert got == pytest.approx(d @ H @ d, rel=1e-12)
 
     breve, _ = spec.predict(state, tau_at(0.5, 0))
-    d = M @ (L @ breve.concat() - v0)
+    d = M @ (spec.image(breve) - v0)
     got = run(inst, "faster", 1, w0=w0, tau_init=0.5).records[0].pointwise_residual
     assert got == pytest.approx(d @ H @ d, rel=1e-12)
 

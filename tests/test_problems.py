@@ -94,6 +94,13 @@ def test_generator_validation():
         make_multiblock_quadratic(0, 0, 2, 2)
 
 
+def test_empty_matrix_game_rejected():
+    # a game with no strategies on one side has no simplex to project onto
+    for A in (np.zeros((1, 0)), np.zeros((0, 2))):
+        with pytest.raises(ValueError, match=r"shape \(\d, \d\)"):
+            make_matrix_game(A)
+
+
 def test_kkt_oracle_identity_case():
     # f = ||x||^2/2, A = I: stationarity x = lam, feasibility x = b,
     # so both solution blocks equal b
@@ -267,6 +274,15 @@ def test_document_round_trip(build):
     _, p1 = inst.spec.predict(s1, 1.0)
     _, p2 = back.spec.predict(s2, 1.0)
     assert (p1 - p2).norm() == 0.0
+    # and the rebuilt instance runs the same: every CSV column and the
+    # H-distance to the oracle agree record for record
+    from predcorr import run
+    rec1 = run(inst, "faster", 20).records
+    rec2 = run(back, "faster", 20).records
+    assert len(rec1) == len(rec2) == 20
+    for r1, r2 in zip(rec1, rec2):
+        assert r1.csv_fields() == r2.csv_fields()
+        assert r1.vdist_sq_h == r2.vdist_sq_h
     # documents survive the JSON text layer unchanged
     import json
     assert instance_to_document(back) == json.loads(json.dumps(doc))

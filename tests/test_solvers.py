@@ -289,7 +289,7 @@ def test_multiblock_single_block_oracle():
 def test_multiblock_image_round_trip():
     inst = make_multiblock_quadratic(3, 3, 2, 3)
     spec = inst.spec
-    assert spec.point_from_image(np.zeros(spec.correction_spec().L.shape[0])) is None
+    assert spec.point_from_image(np.zeros(spec.correction_spec().M.shape[0])) is None
 
     w = inst.w_star
     v = spec.image(w)
