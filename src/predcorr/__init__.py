@@ -13,11 +13,10 @@ from .framework import (ConvergenceCertificate, CorrectionSpec, SingularCorrecti
                         SolverState, SubproblemError, UncertifiedSpecError, certify, run)
 from .linalg import (AsymmetryError, NotPositiveDefiniteError, cholesky_pd_check,
                      solve_spd, spectral_radius_gram)
-from .problems import (FOperator, SplitMix64, VariationalInstance, gap_at,
-                       instance_from_document, instance_to_document, kkt_oracle,
-                       make_matrix_game, make_multiblock_quadratic,
-                       make_saddle_quadratic, make_two_block_l1,
-                       make_two_block_quadratic)
+from .problems import (SplitMix64, VariationalInstance, gap_at, instance_from_document,
+                       instance_to_document, kkt_oracle, make_matrix_game,
+                       make_multiblock_quadratic, make_saddle_quadratic,
+                       make_two_block_l1, make_two_block_quadratic)
 from .prox import (BoxIndicator, L1Penalty, ProxOp, QuadraticCost, SimplexIndicator,
                    project_box, project_simplex, prox_quadratic, soft_threshold)
 from .schedule import DEFAULT_TAU_INIT, tau_at, tau_next
@@ -28,15 +27,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymmetryError", "BlockVector", "BoxIndicator", "CSV_COLUMNS",
-    "ConvergenceCertificate", "CorrectionSpec", "DEFAULT_TAU_INIT", "FOperator",
+    "ConvergenceCertificate", "CorrectionSpec", "DEFAULT_TAU_INIT",
     "IterationTrace", "L1Penalty", "MultiBlockSpec", "NotPositiveDefiniteError",
     "ProxOp", "QuadraticCost", "SaddleSpec", "SimplexIndicator",
     "SingularCorrectionError", "SolverState", "SplitMix64", "SubproblemError",
-    "TraceRecord", "TwoBlockSpec", "UncertifiedSpecError",
-    "VariationalInstance", "certify", "cholesky_pd_check", "gap_at",
-    "instance_from_document", "instance_to_document", "kkt_oracle",
-    "make_matrix_game", "make_multiblock_quadratic", "make_saddle_quadratic",
-    "make_two_block_l1", "make_two_block_quadratic", "project_box",
-    "project_simplex", "prox_quadratic", "run", "solve_prediction_inclusion",
-    "soft_threshold", "solve_spd", "spectral_radius_gram", "tau_at", "tau_next",
+    "TraceRecord", "TwoBlockSpec", "UncertifiedSpecError", "VariationalInstance",
+    "certify", "cholesky_pd_check", "gap_at", "instance_from_document",
+    "instance_to_document", "kkt_oracle", "make_matrix_game",
+    "make_multiblock_quadratic", "make_saddle_quadratic", "make_two_block_l1",
+    "make_two_block_quadratic", "project_box", "project_simplex", "prox_quadratic",
+    "run", "solve_prediction_inclusion", "soft_threshold", "solve_spd",
+    "spectral_radius_gram", "tau_at", "tau_next",
 ]

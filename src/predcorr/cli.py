@@ -30,7 +30,7 @@ from .linalg import AsymmetryError
 from .problems import (instance_from_document, make_matrix_game,
                        make_multiblock_quadratic, make_saddle_quadratic,
                        make_two_block_l1, make_two_block_quadratic)
-from .schedule import DEFAULT_TAU_INIT
+from .schedule import DEFAULT_TAU_INIT, _check_unit_interval
 from .trace import CSV_COLUMNS, IterationTrace
 
 RATE_FLOOR = 1e-15  # trace values at or below this are noise, not rate signal
@@ -42,6 +42,12 @@ GENERATORS = {
     "saddle-quadratic": make_saddle_quadratic,
     "matrix-game": make_matrix_game,  # deterministic in A; takes no seed
 }
+
+
+# JSON type of each --config field; null is also taken where the default is None
+CONFIG_TYPES = {"generator": str, "params": dict, "instance_path": str, "seed": int,
+                "mode": str, "budget": int, "tau_init": float, "out": str,
+                "override_uncertified": bool}
 
 
 @dataclass
@@ -69,8 +75,7 @@ class RunConfig:
             raise ValueError(f"mode must be 'baseline' or 'faster', got {self.mode!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if not 0.0 < self.tau_init < 1.0:
-            raise ValueError(f"tau_init must lie in (0, 1), got {self.tau_init}")
+        _check_unit_interval(self.tau_init, "tau_init")
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,6 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     instance = build_instance(cfg)
     outdir = Path(cfg.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
     status = 0
     sides = {}
     for mode in ("baseline", "faster"):
@@ -217,6 +221,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         except UncertifiedSpecError as exc:
             print(str(exc), file=sys.stderr)
             return 1
+        outdir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, outdir / f"{mode}_trace.csv")
         sides[mode] = summarize_trace(trace, runtime)
         if trace.failure is not None:
@@ -294,8 +299,12 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError(f"config {args.config} must hold a JSON object, "
                              f"got {type(doc).__name__}")
         for key, value in doc.items():
-            if not hasattr(cfg, key):
+            if key not in CONFIG_TYPES:
                 raise ValueError(f"unknown config field {key!r}")
+            want = CONFIG_TYPES[key]
+            if type(value) is not want and not (value is None and getattr(cfg, key) is None):
+                raise ValueError(f"config field {key!r} must be {want.__name__}, "
+                                 f"got {type(value).__name__}")
             setattr(cfg, key, value)
     for key in ("generator", "instance_path", "seed", "mode", "budget",
                 "tau_init", "out", "override_uncertified"):

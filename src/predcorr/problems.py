@@ -2,9 +2,10 @@
 
 Every instance bundles a solver spec with, when one is available, the
 oracle point w_star. Its variational form comes from the spec: theta sums
-the spec's objectives over their blocks, and the affine skew operator
-F(w) = K w + h comes from the spec's coupling (As, b). The gap reported in
-traces is
+the spec's objectives over their blocks, and the operator
+F(w) = (-A_1' y, ..., -A_m' y, sum_i A_i x_i - b) applies the spec's
+coupling (As, b) block by block, y being the last block. The gap reported
+in traces is
 
     gap(w_hat; w_ref) = theta(u_hat) - theta(u_ref) + (w_hat - w_ref)' F(w_ref)
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import as_matrix, as_vector, cholesky_pd_check, spectral_radius_gram
+from .linalg import as_matrix, cholesky_pd_check, spectral_radius_gram
 from .prox import L1Penalty, ProxOp, QuadraticCost, SimplexIndicator, soft_threshold
 from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec
 
@@ -54,34 +55,15 @@ class SplitMix64:
         return self.vector(rows * cols).reshape(rows, cols)
 
 
-class FOperator:
-    """Affine map F(w) = K w + h with skew-symmetric K.
-
-    Skewness is what makes the gap function transfer between reference
-    points, so it is asserted at construction rather than trusted.
-    """
-
-    def __init__(self, K, h):
-        self.K = as_matrix(K, "K")
-        self.h = as_vector(h, "h")
-        if self.K.shape[0] != self.K.shape[1] or self.K.shape[0] != self.h.size:
-            raise ValueError("K must be square and match h")
-        scale = 1.0 + float(np.max(np.abs(self.K))) if self.K.size else 1.0
-        if self.K.size and float(np.max(np.abs(self.K + self.K.T))) > 1e-12 * scale:
-            raise ValueError("linear part of F must be skew-symmetric")
-
-    def __call__(self, w) -> np.ndarray:
-        flat = w.concat() if isinstance(w, BlockVector) else as_vector(w, "w")
-        return self.K @ flat + self.h
-
-
 @dataclass(frozen=True)
 class VariationalInstance:
     """One solvable problem: a spec and, when known, its oracle point.
 
-    F is built from the spec's coupling: K holds -A_i' above the last block
-    and A_i beside it, and h is -b on the last block (zero when b is None,
-    the saddle's bilinear coupling, whose last block is the dual y).
+    F applies the spec's coupling block by block: -A_i' y on each primal
+    block and the residual sum_i A_i x_i - b on the last block y (without
+    b, the saddle's bilinear coupling). Its linear part is skew by
+    construction, which is what makes the gap transfer between reference
+    points.
     """
 
     spec: object
@@ -89,16 +71,8 @@ class VariationalInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        As, b = self.spec.coupling
-        A = np.hstack(As)
-        l, n = A.shape
-        K = np.block([[np.zeros((n, n)), -A.T], [A, np.zeros((l, l))]])
-        h = np.zeros(n + l) if b is None else np.concatenate([np.zeros(n), -b])
-        object.__setattr__(self, "F_op", FOperator(K, h))
-        if self.w_star is not None:
-            self._check_oracle()
-
-    def _check_oracle(self):
+        if self.w_star is None:
+            return
         if not self.w_star.same_structure(self.spec.initial_point()):
             raise ValueError("w_star does not match the spec's blocks")
         if self.feasibility(self.w_star) > 1e-10:
@@ -112,12 +86,22 @@ class VariationalInstance:
         """theta(u): the spec's objectives summed over their blocks."""
         return float(sum(f.value(w[i]) for i, f in enumerate(self.spec.objectives)))
 
+    def _residual(self, w: BlockVector):
+        """(-b + A_1 x_1) + A_2 x_2 + ..., with 0.0 in place of -b without b."""
+        As, b = self.spec.coupling
+        return sum((A @ w[i] for i, A in enumerate(As)), 0.0 if b is None else -b)
+
+    def F(self, w: BlockVector) -> np.ndarray:
+        """F(w) as one flat vector, blocks in the order of w."""
+        As, _ = self.spec.coupling
+        y = w[len(As)]
+        return np.concatenate([-(A.T @ y) for A in As] + [self._residual(w)])
+
     def feasibility(self, w: BlockVector) -> float:
         """Constraint residual ||sum_i A_i x_i - b||; zero without a constraint."""
-        As, b = self.spec.coupling
-        if b is None:
+        if self.spec.coupling[1] is None:
             return 0.0
-        return float(np.linalg.norm(sum((A @ w[i] for i, A in enumerate(As)), -b)))
+        return float(np.linalg.norm(self._residual(w)))
 
     def gap_to_star(self, w: BlockVector) -> float:
         if self.w_star is None:
@@ -131,33 +115,37 @@ def gap_at(w_hat: BlockVector, w_ref: BlockVector, instance: VariationalInstance
         raise ValueError("w_hat and w_ref structures disagree")
     diff = w_hat.concat() - w_ref.concat()
     return float(instance.objective(w_hat) - instance.objective(w_ref)
-                 + diff @ instance.F_op(w_ref))
+                 + diff @ instance.F(w_ref))
 
 
 def kkt_oracle(instance: VariationalInstance) -> BlockVector:
     """Solve the affine optimality system of a quadratic instance directly.
 
-    The system is (K + diag(S_i)) w = c - h: F's skew part plus each
-    objective's S on its block, solved in one shot independent of any
-    iterative scheme; the operator residual at the solution is verified
-    before it is returned.
+    The system is F's coupling with each objective's S on its diagonal
+    block and right-hand side (c_i, ..., b), solved in one shot independent
+    of any iterative scheme; the operator residual at the solution is
+    verified before it is returned.
     """
     spec = instance.spec
     fs = spec.objectives
     if not all(isinstance(f, QuadraticCost) for f in fs):
         raise ValueError("oracle needs quadratic objectives throughout")
-    _, b = spec.coupling
+    As, b = spec.coupling
     if b is not None and b.size < 1:
         raise ValueError("oracle requires at least one constraint row")
 
     names = spec.block_names()
     dims = spec.block_dims()
     offs = np.cumsum((0,) + dims)
-    kkt = instance.F_op.K.copy()
-    rhs = -instance.F_op.h  # c is zero on a multiplier block
+    A = np.hstack(As)
+    l, n = A.shape
+    kkt = np.block([[np.zeros((n, n)), -A.T], [A, np.zeros((l, l))]])
+    rhs = np.zeros(offs[-1])
+    if b is not None:
+        rhs[n:] = b  # c is zero on a multiplier block
     for i, f in enumerate(fs):
         lo, hi = offs[i], offs[i + 1]
-        kkt[lo:hi, lo:hi] = f.S  # K is zero on the diagonal blocks
+        kkt[lo:hi, lo:hi] = f.S
         rhs[lo:hi] += f.c
 
     try:
@@ -168,7 +156,7 @@ def kkt_oracle(instance: VariationalInstance) -> BlockVector:
     w_star = BlockVector.from_concat(names, dims, sol)
     grads = np.concatenate([f.grad(w_star[i]) for i, f in enumerate(fs)]
                            + [np.zeros(offs[-1] - offs[len(fs)])])
-    resid = float(np.linalg.norm(grads + instance.F_op(w_star)))
+    resid = float(np.linalg.norm(grads + instance.F(w_star)))
     if resid > 1e-10 * (1.0 + float(np.linalg.norm(rhs))):
         raise ValueError(f"oracle residual {resid:.3e} out of tolerance")
     return w_star
@@ -176,10 +164,7 @@ def kkt_oracle(instance: VariationalInstance) -> BlockVector:
 
 def _with_kkt_oracle(spec, seed) -> VariationalInstance:
     """The instance of a quadratic spec with its KKT point attached."""
-    inst = VariationalInstance(spec, seed=seed)  # a copy would build F again
-    object.__setattr__(inst, "w_star", kkt_oracle(inst))
-    inst._check_oracle()
-    return inst
+    return VariationalInstance(spec, kkt_oracle(VariationalInstance(spec)), seed)
 
 
 # ---------------------------------------------------------------------------

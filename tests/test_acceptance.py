@@ -337,8 +337,8 @@ def test_criterion_9_skew_and_gap_identities():
             # skew affinity: the operator's increment is orthogonal to the
             # point increment
             dw = w.concat() - wp.concat()
-            dF = inst.F_op(w) - inst.F_op(wp)
-            scale = 1.0 + abs(dw @ inst.F_op(w))
+            dF = inst.F(w) - inst.F(wp)
+            scale = 1.0 + abs(dw @ inst.F(w))
             worst = max(worst, abs(dw @ dF) / scale)
 
             # gap identity against the hand-written function difference

@@ -70,6 +70,9 @@ def test_bad_generator_params(tmp_path, capsys, command, params, named):
     assert not list(tmp_path.iterdir())
 
 
+L1 = {"generator": "two-block-l1", "params": {"n": 2, "mu": 0.5}}
+
+
 @pytest.mark.parametrize("source, named", [
     (("--generator", "two-block-l1", "--param", "n=abc", "--param", "mu=0.5"),
      "'two-block-l1'"),
@@ -77,8 +80,18 @@ def test_bad_generator_params(tmp_path, capsys, command, params, named):
     (("--instance", {"family": "saddle"}), "'objective'"),
     (("--instance", [1, 2]), "JSON object"),
     (("--config", [1, 2]), "JSON object"),
+    (("--config", dict(L1, budget="abc")), "'budget'"),
+    (("--config", dict(L1, budget=2.7)), "'budget'"),
+    (("--config", dict(L1, seed=True)), "'seed'"),
+    (("--config", dict(L1, tau_init="0.5")), "'tau_init'"),
+    (("--config", dict(L1, params="abc"), "--param", "n=2"), "'params'"),
+    (("--config", dict(L1, out=5)), "'out'"),
+    (("--config", dict(L1, override_uncertified="no"), "--param", "r=1.5"),
+     "'override_uncertified'"),
 ], ids=["wrong-type-param", "empty-game", "document-field", "document-list",
-        "config-list"])
+        "config-list", "config-budget-str", "config-budget-float", "config-seed-bool",
+        "config-tau-str", "config-params-str", "config-out-int",
+        "config-override-str"])
 def test_malformed_input_exits_2(tmp_path, capsys, source, named):
     # outside input that cannot make an instance ends with one stderr line
     flag, value, *rest = source
@@ -284,6 +297,16 @@ def test_compare_outputs(tmp_path, capsys):
     assert doc["baseline"]["mode"] == "baseline"
     assert doc["faster"]["mode"] == "faster"
     assert doc["budget"] == 30
+
+
+def test_compare_uncertified_writes_nothing(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code, _, err = call(capsys, "compare", "--generator", "two-block-l1",
+                        "--param", "n=3", "--param", "mu=0.5", "--param", "r=1.5",
+                        "--out", str(outdir))
+    assert code == 1
+    assert "certif" in err.lower()
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,11 @@
+import predcorr
+
+
+def test_public_names_resolve_once():
+    names = predcorr.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(predcorr, name)]
+    assert missing == []
+    namespace = {}
+    exec("from predcorr import *", namespace)
+    assert set(names) <= set(namespace)

@@ -3,7 +3,6 @@ import pytest
 
 from predcorr import (
     BlockVector,
-    FOperator,
     SplitMix64,
     certify,
     gap_at,
@@ -239,11 +238,26 @@ def test_gap_nonnegative_at_oracle():
         assert inst.gap_to_star(w) >= -1e-12
 
 
-def test_f_operator_rejects_non_skew():
-    with pytest.raises(ValueError):
-        FOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
-    op = FOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(op(np.array([2.0, 3.0])), [4.0, -2.0])
+def test_f_matches_dense_skew_form():
+    # F applied block by block equals K w + h, K holding -A_i' above the
+    # last block and A_i beside it, h = -b on the last block (0 without b)
+    rng = np.random.default_rng(9)
+    for inst in (make_two_block_quadratic(1, 3, 2, 4),
+                 make_two_block_l1(2, 4, 0.3),
+                 make_multiblock_quadratic(3, 3, 2, 3),
+                 make_saddle_quadratic(4, 3, 2),
+                 make_matrix_game(np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]]))):
+        As, b = inst.spec.coupling
+        A = np.hstack(As)
+        l, n = A.shape
+        K = np.block([[np.zeros((n, n)), -A.T], [A, np.zeros((l, l))]])
+        h = np.concatenate([np.zeros(n), np.zeros(l) if b is None else -b])
+        names, dims = inst.spec.block_names(), inst.spec.block_dims()
+        for _ in range(10):
+            w = BlockVector(names, tuple(rng.normal(size=d) for d in dims))
+            want = K @ w.concat() + h
+            np.testing.assert_allclose(inst.F(w), want, rtol=1e-14,
+                                       atol=1e-14 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
