@@ -10,7 +10,7 @@ matrices derived from the correction) has been checked.
 """
 from .blocks import BlockVector
 from .framework import (ConvergenceCertificate, CorrectionSpec, SingularCorrectionError,
-                        SolverState, SubproblemError, UncertifiedSpecError, certify, run)
+                        SubproblemError, UncertifiedSpecError, certify, run)
 from .linalg import (AsymmetryError, NotPositiveDefiniteError, cholesky_pd_check,
                      solve_spd, spectral_radius_gram)
 from .problems import (SplitMix64, VariationalInstance, gap_at, instance_from_document,
@@ -30,7 +30,7 @@ __all__ = [
     "ConvergenceCertificate", "CorrectionSpec", "DEFAULT_TAU_INIT",
     "IterationTrace", "L1Penalty", "MultiBlockSpec", "NotPositiveDefiniteError",
     "ProxOp", "QuadraticCost", "SaddleSpec", "SimplexIndicator",
-    "SingularCorrectionError", "SolverState", "SplitMix64", "SubproblemError",
+    "SingularCorrectionError", "SplitMix64", "SubproblemError",
     "TraceRecord", "TwoBlockSpec", "UncertifiedSpecError", "VariationalInstance",
     "certify", "cholesky_pd_check", "gap_at", "instance_from_document",
     "instance_to_document", "kkt_oracle", "make_matrix_game",

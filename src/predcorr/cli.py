@@ -246,10 +246,14 @@ def cmd_rates(trace_path: str, metric: str, k_lo: int, k_hi: int) -> int:
                   file=sys.stderr)
             return 2
         pos = header.index(metric)
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.strip().split(",")
-            if not cells or cells == [""]:
+            if cells == [""]:
                 continue
+            if len(cells) != len(header):
+                print(f"{trace_path} line {lineno}: expected {len(header)} cells, "
+                      f"got {len(cells)}", file=sys.stderr)
+                return 2
             ks.append(int(cells[0]))
             vals.append(float(cells[pos]))
     try:
@@ -306,8 +310,7 @@ def _config_from_args(args) -> RunConfig:
                 raise ValueError(f"config field {key!r} must be {want.__name__}, "
                                  f"got {type(value).__name__}")
             setattr(cfg, key, value)
-    for key in ("generator", "instance_path", "seed", "mode", "budget",
-                "tau_init", "out", "override_uncertified"):
+    for key in CONFIG_TYPES.keys() - {"params"}:  # params come from --param below
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)

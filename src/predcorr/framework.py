@@ -1,8 +1,10 @@
 """Generic prediction-correction engine.
 
-A scheme is specified by two matrices (Q, M) on the image-space state
-v = spec.image(w) that the correction updates: Q scales the prediction
-inclusion, and M drives the correction v <- v - M (v - v_tilde).
+A scheme is specified by two matrices (Q, M) on the image vector
+v = spec.image(w), which is the whole corrected state: Q scales the
+prediction inclusion, and M drives the correction v <- v - M (v - v_tilde).
+Each family's predictor reads its blocks from v alone; faster mode carries
+one more state item, the previous accelerated point breve_prev.
 Before any run the scheme must pass the convergence condition, checked here
 as a certificate: H = Q M^{-1} symmetric positive definite and
 G = Q^T + Q - M^T H M positive definite. All rate guarantees measured by
@@ -112,23 +114,6 @@ def certify(spec: CorrectionSpec, tol: float = 1e-10) -> ConvergenceCertificate:
     )
 
 
-@dataclass
-class SolverState:
-    """Mutable iteration state handed to the family predictors.
-
-    v_curr is the authoritative image-space state. w_curr mirrors it as
-    named blocks whenever the image map is invertible (two-block and
-    saddle schemes, where it is the identity); for the image-space multi-block
-    scheme it is None after the first correction. breve_prev holds the full
-    accelerated iterate of the previous step; predictors read it only when
-    tau < 1.
-    """
-
-    v_curr: np.ndarray
-    w_curr: BlockVector | None
-    breve_prev: BlockVector | None = None
-
-
 def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
         w0: BlockVector | None = None, residual_floor: float | None = None,
         override_uncertified: bool = False, tol: float = 1e-10) -> IterationTrace:
@@ -198,8 +183,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
     # correction, with only the theorem point and the residual pair differing.
     faster = mode == "faster"
     tau_k = _check_unit_interval(tau_init, "tau_init") if faster else 1.0
-    state = SolverState(v_curr=v, w_curr=spec.point_from_image(v), breve_prev=w_start)
-    v_breve_prev = v
+    breve_prev, v_breve_prev = w_start, v
     tilde_sum = None
     # Overflow or an invalid value anywhere in an iteration means the run has
     # diverged; raising at the first one keeps the rows before it intact.
@@ -208,7 +192,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
             try:
                 if faster:
                     tau_k = tau_next(tau_k)
-                w_breve, w_tilde = spec.predict(state, tau_k)
+                w_breve, w_tilde = spec.predict(v, breve_prev, tau_k)
                 v_tilde = spec.image(w_tilde)
                 if faster:
                     measured = w_breve
@@ -218,17 +202,15 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
                 else:
                     tilde_sum = w_tilde if tilde_sum is None else tilde_sum + w_tilde
                     measured = (1.0 / (k + 1)) * tilde_sum
-                    diff = state.v_curr - v_tilde
+                    diff = v - v_tilde
                 m_diff = M @ diff
                 residual = float(m_diff @ (H @ m_diff))
-                state.breve_prev = w_breve
-
-                state.v_curr = state.v_curr - M @ (state.v_curr - v_tilde)
-                state.w_curr = spec.point_from_image(state.v_curr)
+                breve_prev = w_breve
+                v = v - M @ (v - v_tilde)
 
                 if has_oracle:
                     gap = instance.gap_to_star(measured)
-                    v_err = state.v_curr - v_star
+                    v_err = v - v_star
                     vdist = float(v_err @ (H @ v_err))
                 else:
                     gap, vdist = 0.0, None
@@ -248,7 +230,6 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
             if residual_floor is not None and residual < residual_floor:
                 break
 
-    trace.final_v = state.v_curr
-    trace.final_w = state.w_curr
-    trace.final_breve = state.breve_prev
+    trace.final_v = v
+    trace.final_breve = breve_prev
     return trace

@@ -104,9 +104,10 @@ class L1Penalty(ProxOp):
     kind = "soft-threshold"
 
     def __init__(self, weight: float):
-        if weight < 0:
-            raise ValueError(f"weight must be >= 0, got {weight}")
-        self.weight = float(weight)
+        weight = float(weight)
+        if not (np.isfinite(weight) and weight >= 0):
+            raise ValueError(f"weight must be finite and >= 0, got {weight}")
+        self.weight = weight
 
     def value(self, x) -> float:
         return self.weight * float(np.sum(np.abs(x)))
@@ -126,6 +127,8 @@ class BoxIndicator(ProxOp):
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
+        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
+            raise ValueError("box bounds must not be NaN")
         if np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi componentwise")
 
@@ -166,6 +169,8 @@ class QuadraticCost(ProxOp):
         if self.S.shape[0] != self.c.size:
             raise ValueError("S and c dimensions disagree")
         self.const = float(const)
+        if not np.isfinite(self.const):
+            raise ValueError(f"const must be finite, got {self.const}")
 
     @classmethod
     def distance_to(cls, anchor) -> "QuadraticCost":

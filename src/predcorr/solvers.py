@@ -10,14 +10,15 @@ Every subproblem this package ships reduces to the inclusion
     0 in  df(x_breve) + W x_tilde + q,    x_breve = tau x_tilde + (1-tau) anchor
 
 solved in the tilde variable. tau = 1 collapses x_breve = x_tilde and gives
-the plain step, so each family has one predictor, predict(state, tau), and
-the plain scheme is its tau = 1 case by construction. Two solve paths cover
-all shipped objectives: quadratic f (SPD linear solve) and prox-friendly f
-under a scalar W.
+the plain step, so each family has one predictor, predict(v, breve_prev,
+tau), and the plain scheme is its tau = 1 case by construction. Two solve
+paths cover all shipped objectives: quadratic f (SPD linear solve) and
+prox-friendly f under a scalar W.
 
-The two-block and saddle families work on full named iterates (their image
-map is the identity), while the multi-block family's corrected state lives
-in image space and its predictor reads the image blocks directly.
+Every predictor reads the corrected state from its image vector v alone.
+The two-block and saddle families slice their blocks out of v (their image
+map is the identity); the multi-block family reads A_i x_i and the
+multiplier from its scaled image blocks.
 """
 from __future__ import annotations
 
@@ -132,9 +133,10 @@ class TwoBlockSpec:
         gram2 = self.A2.T @ self.A2
         if not cholesky_pd_check(gram2).positive_definite:
             raise ValueError("A2 must have full column rank")
+        gram1 = self.A1.T @ self.A1
         if self.P is None:
             a = 1.01 * self.beta * spectral_radius_gram(self.A1)
-            P = a * np.eye(self.n1) - self.beta * (self.A1.T @ self.A1)
+            P = a * np.eye(self.n1) - self.beta * gram1
         else:
             P = as_matrix(self.P, "P")
             if P.shape != (self.n1, self.n1):
@@ -143,7 +145,7 @@ class TwoBlockSpec:
             if np.min(np.linalg.eigvalsh(P)) < -1e-10 * (1.0 + np.max(np.abs(P))):
                 raise ValueError("P must be positive semidefinite")
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "_W1", self.beta * (self.A1.T @ self.A1) + P)
+        object.__setattr__(self, "_W1", self.beta * gram1 + P)
         object.__setattr__(self, "_W2", self.beta * gram2)
         object.__setattr__(self, "objectives", (self.prox_f1, self.prox_f2))
         object.__setattr__(self, "coupling", ((self.A1, self.A2), self.b))
@@ -177,7 +179,7 @@ class TwoBlockSpec:
         A2 = self.A2
         Q = np.zeros((n1 + n2 + l, n1 + n2 + l))
         Q[:n1, :n1] = self.P
-        Q[n1:n1 + n2, n1:n1 + n2] = beta * (A2.T @ A2)
+        Q[n1:n1 + n2, n1:n1 + n2] = self._W2
         Q[n1:n1 + n2, n1 + n2:] = -r * A2.T
         Q[n1 + n2:, n1:n1 + n2] = -A2
         Q[n1 + n2:, n1 + n2:] = np.eye(l) / beta
@@ -192,13 +194,10 @@ class TwoBlockSpec:
     def image(self, w: BlockVector) -> np.ndarray:
         return w.concat()
 
-    def point_from_image(self, v: np.ndarray) -> BlockVector:
-        return BlockVector.from_concat(self.block_names(), self.block_dims(), v)
-
-    def predict(self, state, tau: float):
+    def predict(self, v: np.ndarray, breve_prev: BlockVector | None, tau: float):
         """Gauss-Seidel sweep; returns (w_breve, w_tilde), one object at tau = 1."""
-        x1, x2, lam = state.w_curr["x1"], state.w_curr["x2"], state.w_curr["lam"]
-        prev = None if tau == 1.0 else state.breve_prev  # no anchor at tau = 1
+        x1, x2, lam = np.split(v, np.cumsum(self.block_dims())[:-1])
+        prev = None if tau == 1.0 else breve_prev  # no anchor at tau = 1
         a1 = prev["x1"] if prev is not None else None
         a2 = prev["x2"] if prev is not None else None
 
@@ -309,18 +308,13 @@ class MultiBlockSpec:
         parts.append(w["lam"] / rb)
         return np.concatenate(parts)
 
-    def point_from_image(self, v: np.ndarray) -> None:
-        # A_i x_i does not determine x_i; the image is the authoritative state
-        return None
-
-    def predict(self, state, tau: float):
+    def predict(self, v: np.ndarray, breve_prev: BlockVector | None, tau: float):
         """Forward pass over the blocks, then the multiplier; (w_breve, w_tilde)."""
-        v = state.v_curr
         l = self.n_constraints
         rb = np.sqrt(self.beta)
         ax = [v[i * l:(i + 1) * l] / rb for i in range(self.m)]  # the A_i x_i
         lam = v[self.m * l:] * rb
-        prev = None if tau == 1.0 else state.breve_prev  # no anchor at tau = 1
+        prev = None if tau == 1.0 else breve_prev  # no anchor at tau = 1
         tildes, breves = [], []
         drift = np.zeros(self.n_constraints)  # sum_{j<i} A_j (xt_j - x_j)
         sum_ax = np.zeros(self.n_constraints)
@@ -413,13 +407,10 @@ class SaddleSpec:
     def image(self, w: BlockVector) -> np.ndarray:
         return w.concat()
 
-    def point_from_image(self, v: np.ndarray) -> BlockVector:
-        return BlockVector.from_concat(self.block_names(), self.block_dims(), v)
-
-    def predict(self, state, tau: float):
+    def predict(self, v: np.ndarray, breve_prev: BlockVector | None, tau: float):
         """Primal prox, momentum push, dual prox; returns (w_breve, w_tilde)."""
-        x, y = state.w_curr["x"], state.w_curr["y"]
-        prev = None if tau == 1.0 else state.breve_prev  # no anchor at tau = 1
+        x, y = np.split(v, np.cumsum(self.block_dims())[:-1])
+        prev = None if tau == 1.0 else breve_prev  # no anchor at tau = 1
         ax = prev["x"] if prev is not None else None
         ay = prev["y"] if prev is not None else None
         xb, xt = solve_prediction_inclusion(

@@ -43,7 +43,6 @@ class IterationTrace:
     uncertified: bool = False
     has_oracle: bool = False
     initial_vdist_sq_h: float | None = None
-    final_w: BlockVector | None = None
     final_v: object | None = None
     final_breve: BlockVector | None = None
     failure: str | None = None

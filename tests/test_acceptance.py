@@ -16,7 +16,6 @@ from predcorr import (
     BoxIndicator,
     QuadraticCost,
     SaddleSpec,
-    SolverState,
     TwoBlockSpec,
     certify,
     gap_at,
@@ -258,10 +257,10 @@ def test_criterion_8_reduction_identities():
         admm = np.concatenate([x1p, x2p, lamp])
 
         w = BlockVector(spec.block_names(), (x1, x2, lam))
-        state = SolverState(v_curr=spec.image(w), w_curr=w)
-        _, tilde = spec.predict(state, 1.0)
+        v = spec.image(w)
+        _, tilde = spec.predict(v, None, 1.0)
         M = spec.correction_spec().M
-        ours = state.v_curr - M @ (state.v_curr - spec.image(tilde))
+        ours = v - M @ (v - spec.image(tilde))
         worst = max(worst, np.max(np.abs(ours - admm)) / (1.0 + np.max(np.abs(admm))))
 
     # classic primal-dual hybrid step == saddle scheme at alpha=1 (M = I)
@@ -277,10 +276,10 @@ def test_criterion_8_reduction_identities():
         classic = np.concatenate([xp, yp])
 
         w = BlockVector(spec.block_names(), (x, y))
-        state = SolverState(v_curr=spec.image(w), w_curr=w)
-        _, tilde = spec.predict(state, 1.0)
+        v = spec.image(w)
+        _, tilde = spec.predict(v, None, 1.0)
         M = spec.correction_spec().M
-        ours = state.v_curr - M @ (state.v_curr - spec.image(tilde))
+        ours = v - M @ (v - spec.image(tilde))
         worst = max(worst, np.max(np.abs(ours - classic)) / (1.0 + np.max(np.abs(classic))))
 
     # tau = 1 predictions coincide (breve == tilde) and ignore the previous
@@ -293,9 +292,8 @@ def test_criterion_8_reduction_identities():
         for _ in range(10):
             w = BlockVector(names, tuple(rng.normal(size=d) for d in dims))
             prev = BlockVector(names, tuple(rng.normal(size=d) for d in dims))
-            _, base = spec.predict(SolverState(v_curr=spec.image(w), w_curr=w), 1.0)
-            state = SolverState(v_curr=spec.image(w), w_curr=w, breve_prev=prev)
-            breve, tilde = spec.predict(state, 1.0)
+            _, base = spec.predict(spec.image(w), None, 1.0)
+            breve, tilde = spec.predict(spec.image(w), prev, 1.0)
             err = max((tilde - base).norm(), (breve - base).norm())
             worst = max(worst, err / (1.0 + base.norm()))
 

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import predcorr
+from predcorr import instance_to_document, make_two_block_l1
 from predcorr.cli import RATE_FLOOR, fit_rate_report, main
 
 
@@ -73,12 +77,20 @@ def test_bad_generator_params(tmp_path, capsys, command, params, named):
 L1 = {"generator": "two-block-l1", "params": {"n": 2, "mu": 0.5}}
 
 
+def nan_weight_document():
+    doc = instance_to_document(make_two_block_l1(0, 4, 0.5))
+    doc["objective"][0]["weight"] = float("nan")  # json writes the NaN literal
+    doc["w_star"] = None
+    return doc
+
+
 @pytest.mark.parametrize("source, named", [
     (("--generator", "two-block-l1", "--param", "n=abc", "--param", "mu=0.5"),
      "'two-block-l1'"),
     (("--generator", "matrix-game", "--param", "A=[[]]"), "(1, 0)"),
     (("--instance", {"family": "saddle"}), "'objective'"),
     (("--instance", [1, 2]), "JSON object"),
+    (("--instance", nan_weight_document()), "weight"),
     (("--config", [1, 2]), "JSON object"),
     (("--config", dict(L1, budget="abc")), "'budget'"),
     (("--config", dict(L1, budget=2.7)), "'budget'"),
@@ -89,9 +101,9 @@ L1 = {"generator": "two-block-l1", "params": {"n": 2, "mu": 0.5}}
     (("--config", dict(L1, override_uncertified="no"), "--param", "r=1.5"),
      "'override_uncertified'"),
 ], ids=["wrong-type-param", "empty-game", "document-field", "document-list",
-        "config-list", "config-budget-str", "config-budget-float", "config-seed-bool",
-        "config-tau-str", "config-params-str", "config-out-int",
-        "config-override-str"])
+        "document-nan-weight", "config-list", "config-budget-str",
+        "config-budget-float", "config-seed-bool", "config-tau-str",
+        "config-params-str", "config-out-int", "config-override-str"])
 def test_malformed_input_exits_2(tmp_path, capsys, source, named):
     # outside input that cannot make an instance ends with one stderr line
     flag, value, *rest = source
@@ -263,6 +275,18 @@ def test_rates_rejects_bad_windows(tmp_path, capsys):
     assert "usable points" in err
 
 
+def test_rates_short_row_exits_2(tmp_path, capsys):
+    # a row with fewer cells than the header is named, not a traceback
+    trace = tmp_path / "trace.csv"
+    trace.write_text("k,tau,gap_at_star\n10,0.5\n")
+    code, out, err = call(capsys, "rates", "--trace", str(trace),
+                          "--metric", "gap_at_star", "--k-hi", "40")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "line 2" in err
+    assert "Traceback" not in err
+
+
 def test_fit_rate_report_direct():
     ks = np.arange(1, 2001)
     vals = 3.0 * ks.astype(float) ** -2.0
@@ -314,8 +338,11 @@ def test_compare_uncertified_writes_nothing(tmp_path, capsys):
 
 
 def test_console_script():
+    # the child imports the same predcorr as this process, installed or not
+    src = str(Path(predcorr.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "predcorr.cli"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 2
     assert "command" in proc.stderr

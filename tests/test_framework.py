@@ -9,8 +9,8 @@ from predcorr import (
     BlockVector,
     CorrectionSpec,
     SingularCorrectionError,
-    SolverState,
     UncertifiedSpecError,
+    VariationalInstance,
     certify,
     make_matrix_game,
     make_multiblock_quadratic,
@@ -73,7 +73,7 @@ def test_run_baseline_trace_shape():
     assert [r.k for r in trace.records] == list(range(25))
     assert all(r.tau == 1.0 for r in trace.records)
     assert trace.failure is None
-    assert trace.final_w is not None
+    assert trace.final_v is not None
     # gap and residual are finite and eventually tiny on this instance
     assert trace.records[-1].pointwise_residual < 1e-12
 
@@ -144,17 +144,54 @@ def test_run_first_residual(make):
     w0 = BlockVector(spec.block_names(),
                      tuple(rng.normal(size=d) for d in spec.block_dims()))
     v0 = spec.image(w0)
-    state = SolverState(v_curr=v0, w_curr=w0, breve_prev=w0)
 
-    _, tilde = spec.predict(state, 1.0)
+    _, tilde = spec.predict(v0, w0, 1.0)
     d = M @ (v0 - spec.image(tilde))
     got = run(inst, "baseline", 1, w0=w0).records[0].pointwise_residual
     assert got == pytest.approx(d @ H @ d, rel=1e-12)
 
-    breve, _ = spec.predict(state, tau_at(0.5, 0))
+    breve, _ = spec.predict(v0, w0, tau_at(0.5, 0))
     d = M @ (spec.image(breve) - v0)
     got = run(inst, "faster", 1, w0=w0, tau_init=0.5).records[0].pointwise_residual
     assert got == pytest.approx(d @ H @ d, rel=1e-12)
+
+
+class DocumentedSpec:
+    """A spec exposing only the custom-spec protocol the README documents."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.family = inner.family
+        self.objectives = inner.objectives
+        self.coupling = inner.coupling
+
+    def predict(self, v, breve_prev, tau):
+        return self._inner.predict(v, breve_prev, tau)
+
+    def correction_spec(self):
+        return self._inner.correction_spec()
+
+    def initial_point(self):
+        return self._inner.initial_point()
+
+    def image(self, w):
+        return self._inner.image(w)
+
+    def block_names(self):
+        return self._inner.block_names()
+
+    def block_dims(self):
+        return self._inner.block_dims()
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+def test_run_needs_only_the_documented_spec_protocol(mode):
+    inst = make_saddle_quadratic(3, 3, 2)
+    custom = VariationalInstance(DocumentedSpec(inst.spec), inst.w_star, inst.seed)
+    want = [r.csv_fields() for r in run(inst, mode, 30, tau_init=0.5).records]
+    got = [r.csv_fields() for r in run(custom, mode, 30, tau_init=0.5).records]
+    assert len(got) == 30
+    assert got == want
 
 
 @pytest.mark.parametrize("mode", ["baseline", "faster"])

@@ -281,12 +281,9 @@ def test_document_round_trip(build):
     else:
         assert (back.w_star - inst.w_star).norm() == 0.0
     # the rebuilt spec drives identical predictions
-    from predcorr import SolverState
     w0 = inst.spec.initial_point()
-    s1 = SolverState(v_curr=inst.spec.image(w0), w_curr=w0)
-    s2 = SolverState(v_curr=back.spec.image(w0), w_curr=w0)
-    _, p1 = inst.spec.predict(s1, 1.0)
-    _, p2 = back.spec.predict(s2, 1.0)
+    _, p1 = inst.spec.predict(inst.spec.image(w0), None, 1.0)
+    _, p2 = back.spec.predict(back.spec.image(w0), None, 1.0)
     assert (p1 - p2).norm() == 0.0
     # and the rebuilt instance runs the same: every CSV column and the
     # H-distance to the oracle agree record for record

@@ -93,6 +93,27 @@ def test_quadratic_cost():
         QuadraticCost(np.array([[1.0, 1.0], [0.0, 1.0]]), c)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: L1Penalty(float("nan")),
+    lambda: L1Penalty(float("inf")),
+    lambda: L1Penalty(-0.5),
+    lambda: BoxIndicator([float("nan"), 0.0], [1.0, 1.0]),
+    lambda: BoxIndicator(0.0, float("nan")),
+    lambda: QuadraticCost(np.eye(2), np.zeros(2), float("nan")),
+    lambda: QuadraticCost(np.eye(2), np.zeros(2), float("-inf")),
+], ids=["l1-nan", "l1-inf", "l1-negative", "box-lo-nan", "box-hi-nan",
+        "quadratic-const-nan", "quadratic-const-inf"])
+def test_constructors_reject_non_finite_parameters(build):
+    # a bad parameter fails where the objective is built, not inside a run
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_box_allows_infinite_bounds():
+    box = BoxIndicator([-np.inf, 0.0], [1.0, np.inf])
+    np.testing.assert_allclose(box.prox(np.array([-5.0, 5.0]), 1.0), [-5.0, 5.0])
+
+
 def test_json_round_trip():
     ops = [
         L1Penalty(0.25),

@@ -8,7 +8,6 @@ from predcorr import (
     MultiBlockSpec,
     QuadraticCost,
     SaddleSpec,
-    SolverState,
     SubproblemError,
     TwoBlockSpec,
     certify,
@@ -110,8 +109,8 @@ def test_two_block_hand_sweep():
     #   slack = 1/2 - 1 = -1/2, lam_tilde = 1/2, lam_half = 1/4
     #   q2 = -1/4 + (1/2 - 1) = -3/4, W2 = 1             -> 3/8
     spec = scalar_two_block()
-    state = SolverState(v_curr=np.zeros(3), w_curr=spec.initial_point())
-    _, tilde = spec.predict(state, 1.0)
+    v0 = np.zeros(3)
+    _, tilde = spec.predict(v0, None, 1.0)
     np.testing.assert_allclose(tilde["x1"], [0.5], rtol=1e-14)
     np.testing.assert_allclose(tilde["x2"], [0.375], rtol=1e-14)
     np.testing.assert_allclose(tilde["lam"], [0.5], rtol=1e-14)
@@ -119,7 +118,7 @@ def test_two_block_hand_sweep():
     # correction with M rows [1,0,0], [0,1,0], [0, -s*beta*A2, r+s]:
     # new lam = 0 - (-1/2*3/8 + 1*1/2 - 0) reversed => M @ tilde = 5/16
     M = spec.correction_spec().M
-    v1 = state.v_curr - M @ (state.v_curr - spec.image(tilde))
+    v1 = v0 - M @ (v0 - spec.image(tilde))
     np.testing.assert_allclose(v1, [0.5, 0.375, 0.3125], rtol=1e-14)
 
 
@@ -149,13 +148,12 @@ def test_two_block_default_p_and_region():
 def test_two_block_fixed_point():
     inst = make_two_block_quadratic(0, 2, 2, 3)
     w_star = inst.w_star
-    state = SolverState(v_curr=inst.spec.image(w_star), w_curr=w_star)
-    _, tilde = inst.spec.predict(state, 1.0)
+    v_star = inst.spec.image(w_star)
+    _, tilde = inst.spec.predict(v_star, None, 1.0)
     assert (tilde - w_star).norm() <= 1e-10 * (1.0 + w_star.norm())
 
     # accelerated step anchored at the oracle stays there too
-    state.breve_prev = w_star
-    breve, tilde = inst.spec.predict(state, 0.25)
+    breve, tilde = inst.spec.predict(v_star, w_star, 0.25)
     assert (breve - w_star).norm() <= 1e-10 * (1.0 + w_star.norm())
     assert (tilde - w_star).norm() <= 1e-10 * (1.0 + w_star.norm())
 
@@ -165,11 +163,9 @@ def test_two_block_tau_one_reduces_to_baseline():
     rng = np.random.default_rng(7)
     w = BlockVector(inst.spec.block_names(),
                     tuple(rng.normal(size=d) for d in inst.spec.block_dims()))
-    plain = SolverState(v_curr=inst.spec.image(w), w_curr=w)
-    _, base = inst.spec.predict(plain, 1.0)
+    _, base = inst.spec.predict(inst.spec.image(w), None, 1.0)
     # tau = 1 ignores the anchor and returns one point as both outputs
-    anchored = SolverState(v_curr=inst.spec.image(w), w_curr=w, breve_prev=-1.0 * w)
-    breve, tilde = inst.spec.predict(anchored, 1.0)
+    breve, tilde = inst.spec.predict(inst.spec.image(w), -1.0 * w, 1.0)
     assert breve is tilde
     assert (tilde - base).norm() <= 1e-14 * (1.0 + base.norm())
     assert (breve - base).norm() <= 1e-14 * (1.0 + base.norm())
@@ -251,13 +247,12 @@ def test_prediction_satisfies_inclusion(family):
     w = BlockVector(spec.block_names(),
                     tuple(rng.normal(size=d) for d in spec.block_dims()))
     v = spec.image(w)
-    state = SolverState(v_curr=v, w_curr=w, breve_prev=w)
 
-    _, tilde = spec.predict(state, 1.0)
+    _, tilde = spec.predict(v, w, 1.0)
     res = op(spec, tilde, tilde) + L.T @ Q @ (L @ tilde.concat() - v)
     assert np.max(np.abs(res)) <= 1e-10 * (1.0 + w.norm())
 
-    breve, tilde = spec.predict(state, 0.3)
+    breve, tilde = spec.predict(v, w, 0.3)
     res = op(spec, breve, tilde) + L.T @ Q @ (L @ tilde.concat() - v)
     assert np.max(np.abs(res)) <= 1e-10 * (1.0 + w.norm())
     # extrapolation identity ties breve to tilde and the previous breve
@@ -279,8 +274,7 @@ def test_multiblock_single_block_oracle():
     spec = MultiBlockSpec(
         prox_f_i=(QuadraticCost(np.eye(2), a),),
         A_i=(np.eye(2),), b=b, beta=beta, alpha=0.5)
-    state = SolverState(v_curr=np.zeros(4), w_curr=spec.initial_point())
-    _, tilde = spec.predict(state, 1.0)
+    _, tilde = spec.predict(np.zeros(4), None, 1.0)
     want_x = a / (1.0 + beta)
     np.testing.assert_allclose(tilde["x1"], want_x, rtol=1e-14)
     np.testing.assert_allclose(tilde["lam"], -beta * (want_x - b), rtol=1e-14)
@@ -289,18 +283,15 @@ def test_multiblock_single_block_oracle():
 def test_multiblock_image_round_trip():
     inst = make_multiblock_quadratic(3, 3, 2, 3)
     spec = inst.spec
-    assert spec.point_from_image(np.zeros(spec.correction_spec().M.shape[0])) is None
-
     w = inst.w_star
     v = spec.image(w)
-    # the predictor reads the image state alone; w_curr is not needed
-    state = SolverState(v_curr=v, w_curr=None, breve_prev=w)
-    _, tilde = spec.predict(state, 1.0)
+    # the predictor reads the image state alone
+    _, tilde = spec.predict(v, w, 1.0)
     v_tilde = spec.image(tilde)
     assert v_tilde.shape == v.shape
     np.testing.assert_allclose(v_tilde, v, atol=1e-9 * (1 + np.linalg.norm(v)))
 
-    vb, vt = (spec.image(p) for p in spec.predict(state, 0.5))
+    vb, vt = (spec.image(p) for p in spec.predict(v, w, 0.5))
     np.testing.assert_allclose(vb, v, atol=1e-9 * (1 + np.linalg.norm(v)))
     np.testing.assert_allclose(vt, v, atol=1e-9 * (1 + np.linalg.norm(v)))
 
@@ -327,8 +318,7 @@ def test_saddle_box_game_hand_step():
     spec = SaddleSpec(prox_f=BoxIndicator(0.0, 1.0), prox_g=BoxIndicator(0.0, 1.0),
                       A=np.array([[1.0]]), r=1.0, s=1.0, alpha=0.5)
     w = BlockVector(("x", "y"), (np.array([1.0]), np.array([1.0])))
-    state = SolverState(v_curr=spec.image(w), w_curr=w)
-    _, tilde = spec.predict(state, 1.0)
+    _, tilde = spec.predict(spec.image(w), None, 1.0)
     np.testing.assert_allclose(tilde["x"], [1.0])
     np.testing.assert_allclose(tilde["y"], [0.0])
 
@@ -336,18 +326,14 @@ def test_saddle_box_game_hand_step():
 def test_saddle_fixed_point_and_tau_one():
     inst = make_saddle_quadratic(5, 3, 2)
     w_star = inst.w_star
-    state = SolverState(v_curr=inst.spec.image(w_star), w_curr=w_star,
-                        breve_prev=w_star)
-    _, tilde = inst.spec.predict(state, 1.0)
+    _, tilde = inst.spec.predict(inst.spec.image(w_star), w_star, 1.0)
     assert (tilde - w_star).norm() <= 1e-10 * (1.0 + w_star.norm())
 
     rng = np.random.default_rng(3)
     w = BlockVector(inst.spec.block_names(),
                     tuple(rng.normal(size=d) for d in inst.spec.block_dims()))
-    plain = SolverState(v_curr=inst.spec.image(w), w_curr=w)
-    _, base = inst.spec.predict(plain, 1.0)
-    anchored = SolverState(v_curr=inst.spec.image(w), w_curr=w, breve_prev=-1.0 * w)
-    breve, tilde2 = inst.spec.predict(anchored, 1.0)
+    _, base = inst.spec.predict(inst.spec.image(w), None, 1.0)
+    breve, tilde2 = inst.spec.predict(inst.spec.image(w), -1.0 * w, 1.0)
     assert breve is tilde2
     assert (tilde2 - base).norm() <= 1e-14 * (1.0 + base.norm())
     assert (breve - base).norm() <= 1e-14 * (1.0 + base.norm())
