@@ -1,14 +1,18 @@
 """Dense real linear algebra kernels.
 
 Everything downstream (certificates, subproblem solves, step sizes) runs on
-the three operations here: a pivot-reporting Cholesky positive-definiteness
-check, the dominant eigenvalue of a Gram matrix, and an SPD linear solve.
-Matrices and vectors are plain numpy arrays validated on entry; problems at
-the intended scale are small and dense, so there is no sparse path.
+the operations here: a pivot-reporting Cholesky positive-definiteness check,
+the dominant eigenvalue of a Gram matrix, an SPD linear solve, and the SPD
+pencil tau*S + W that a prediction subproblem solves at every tau, prepared
+once so that each solve costs two matrix-vector products. Matrices and
+vectors are plain numpy arrays validated on entry; problems at the intended
+scale are small and dense, so there is no sparse path.
 
 Positive definiteness is always decided by Cholesky pivots with a relative
 tolerance, never by eigensolvers: the pivot sequence is deterministic and the
 first nonpositive pivot is exactly the evidence a failed certificate needs.
+LAPACK computes the factor; the pivot loop reruns only when LAPACK's factor
+does not clear the threshold, and its verdict names the offending pivot.
 """
 from __future__ import annotations
 
@@ -37,24 +41,24 @@ class NotPositiveDefiniteError(ValueError):
         )
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-d float array with finite entries."""
-    m = np.array(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+def _checked(a, ndim: int, name: str) -> np.ndarray:
+    """a as a float array with ndim axes and finite entries; no copy of a float array."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-    return m
+    return a
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return a 2-d float array with finite entries, as a copy."""
+    return _checked(np.array(a, dtype=float), 2, name)
 
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Validate and return a 1-d float array with finite entries."""
-    v = np.array(a, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
+    """Validate and return a 1-d float array with finite entries, as a copy."""
+    return _checked(np.array(a, dtype=float), 1, name)
 
 
 def check_symmetric(S: np.ndarray, tol: float, name: str = "matrix") -> None:
@@ -62,7 +66,8 @@ def check_symmetric(S: np.ndarray, tol: float, name: str = "matrix") -> None:
     if S.shape[0] != S.shape[1]:
         raise ValueError(f"{name} must be square, got shape {S.shape}")
     smax = np.abs(S).max() if S.size else 0.0
-    asym = np.abs(S - S.T).max() if S.size else 0.0
+    diff = S - S.T
+    asym = np.abs(diff, out=diff).max() if S.size else 0.0
     if asym > tol * (1.0 + smax):
         raise AsymmetryError(
             f"{name} asymmetry {asym:.3e} exceeds tolerance {tol * (1.0 + smax):.3e}"
@@ -99,13 +104,24 @@ def cholesky_pd_check(S, tol: float = 1e-10) -> PDResult:
     -------
     PDResult
         Factor on success, offending pivot on failure.
+
+    LAPACK factors S first, and its factor is accepted when every squared
+    diagonal entry exceeds the threshold. Otherwise the pivot loop decides,
+    so a failure reports the first pivot at or below the threshold. S is
+    read, never copied or changed.
     """
-    S = as_matrix(S, "S")
+    S = _checked(S, 2, "S")
     check_symmetric(S, tol, "S")
     n = S.shape[0]
     if n == 0:
         return PDResult(True, np.zeros((0, 0)), None, None)
     threshold = tol * (1.0 + float(S.diagonal().max()))
+    try:
+        L = np.linalg.cholesky(S)
+        if float(L.diagonal().min()) ** 2 > threshold:
+            return PDResult(True, L, None, None)
+    except np.linalg.LinAlgError:
+        pass
     L = np.zeros_like(S)
     for j in range(n):
         pivot = S[j, j] - L[j, :j] @ L[j, :j]
@@ -130,6 +146,42 @@ def solve_spd(S, rhs, tol: float = 1e-10) -> np.ndarray:
         raise NotPositiveDefiniteError(res.pivot_index, res.pivot_value)
     y = np.linalg.solve(res.factor, rhs)
     return np.linalg.solve(res.factor.T, y)
+
+
+class SPDPencil:
+    """The systems (tau*S + W) x = rhs for every tau in (0, 1], prepared once.
+
+    B = S + W, the tau = 1 matrix, is factored as L L^T by cholesky_pd_check,
+    and L^-1 S L^-T = U diag(d) U^T is eigendecomposed. With V = L^-T U,
+    tau*S + W = B - (1-tau)*S = V^-T diag(1 - (1-tau)*d) V^-1, so each solve is
+    x = V ((V^T rhs) / (1 - (1-tau)*d)): two matrix-vector products and no
+    factorization. Every such system is SPD exactly when B is and every
+    d <= 1, which holds whenever W is PSD; both are checked here, once.
+    W may be singular (a Gram matrix of a wide block) as long as B is not.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If B fails the pivot check.
+    numpy.linalg.LinAlgError
+        If some d exceeds 1 + tol, so small tau gives an indefinite system.
+    """
+
+    def __init__(self, S, W, tol: float = 1e-10):
+        res = cholesky_pd_check(S + W, tol)
+        if not res.positive_definite:
+            raise NotPositiveDefiniteError(res.pivot_index, res.pivot_value)
+        L = res.factor
+        d, U = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, S).T))
+        if d[-1] > 1.0 + tol:
+            raise np.linalg.LinAlgError(
+                f"tau*S + W is indefinite for tau below {1.0 - 1.0 / d[-1]:.6e}")
+        self.d = d
+        self.V = np.linalg.solve(L.T, U)
+
+    def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
+        """x with (tau*S + W) x = rhs; rhs is trusted (1-d, finite, length n)."""
+        return self.V @ ((self.V.T @ rhs) / (1.0 - (1.0 - tau) * self.d))
 
 
 def spectral_radius_gram(A) -> float:

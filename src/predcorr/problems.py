@@ -77,6 +77,9 @@ class VariationalInstance:
             raise ValueError("w_star does not match the spec's blocks")
         if self.feasibility(self.w_star) > 1e-10:
             raise ValueError("oracle point is not feasible")
+        # theta(u*) and F(w*), constant over every run, for gap_to_star
+        object.__setattr__(self, "_theta_star", self.objective(self.w_star))
+        object.__setattr__(self, "_F_star", self.F(self.w_star))
 
     @property
     def family(self) -> str:
@@ -106,16 +109,20 @@ class VariationalInstance:
     def gap_to_star(self, w: BlockVector) -> float:
         if self.w_star is None:
             raise ValueError("instance has no oracle point")
-        return gap_at(w, self.w_star, self)
+        return _gap(w, self.w_star, self, self._theta_star, self._F_star)
 
 
 def gap_at(w_hat: BlockVector, w_ref: BlockVector, instance: VariationalInstance) -> float:
     """theta(u_hat) - theta(u_ref) + (w_hat - w_ref)' F(w_ref)."""
+    return _gap(w_hat, w_ref, instance, instance.objective(w_ref), instance.F(w_ref))
+
+
+def _gap(w_hat, w_ref, instance, theta_ref: float, F_ref: np.ndarray) -> float:
+    """gap_at with theta(u_ref) and F(w_ref) given."""
     if not w_hat.same_structure(w_ref):
         raise ValueError("w_hat and w_ref structures disagree")
     diff = w_hat.concat() - w_ref.concat()
-    return float(instance.objective(w_hat) - instance.objective(w_ref)
-                 + diff @ instance.F(w_ref))
+    return float(instance.objective(w_hat) - theta_ref + diff @ F_ref)
 
 
 def kkt_oracle(instance: VariationalInstance) -> BlockVector:

@@ -21,8 +21,8 @@ from .linalg import as_matrix, as_vector, check_symmetric, solve_spd
 
 def soft_threshold(x, weight: float):
     """Componentwise sign(x) * max(|x| - weight, 0)."""
-    if weight < 0:
-        raise ValueError(f"weight must be >= 0, got {weight}")
+    if not (np.isfinite(weight) and weight >= 0):
+        raise ValueError(f"weight must be finite and >= 0, got {weight}")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - weight, 0.0)
 
@@ -30,6 +30,8 @@ def soft_threshold(x, weight: float):
 def project_box(x, lo, hi):
     """Componentwise clip onto [lo, hi]."""
     x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        raise ValueError("box bounds must not be NaN")
     if np.any(np.asarray(lo) > np.asarray(hi)):
         raise ValueError("box requires lo <= hi componentwise")
     return np.clip(x, lo, hi)

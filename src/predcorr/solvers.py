@@ -11,9 +11,8 @@ Every subproblem this package ships reduces to the inclusion
 
 solved in the tilde variable. tau = 1 collapses x_breve = x_tilde and gives
 the plain step, so each family has one predictor, predict(v, breve_prev,
-tau), and the plain scheme is its tau = 1 case by construction. Two solve
-paths cover all shipped objectives: quadratic f (SPD linear solve) and
-prox-friendly f under a scalar W.
+tau), and the plain scheme is its tau = 1 case by construction. A spec
+prepares each block's solve once, for every tau (prepare_prediction).
 
 Every predictor reads the corrected state from its image vector v alone.
 The two-block and saddle families slice their blocks out of v (their image
@@ -23,69 +22,71 @@ multiplier from its scaled image blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .blocks import BlockVector
 from .framework import CorrectionSpec, SubproblemError
-from .linalg import (NotPositiveDefiniteError, as_matrix, as_vector,
-                     check_symmetric, cholesky_pd_check, solve_spd,
-                     spectral_radius_gram)
+from .linalg import (NotPositiveDefiniteError, SPDPencil, as_matrix, as_vector,
+                     check_symmetric, cholesky_pd_check, spectral_radius_gram)
 from .prox import ProxOp, QuadraticCost
 
 
-def _as_scale(W, dim):
-    """Return rho when W acts as rho*I on R^dim, else None."""
-    if np.isscalar(W):
-        return float(W)
-    W = np.asarray(W, dtype=float)
-    rho = float(np.trace(W)) / dim
-    if np.max(np.abs(W - rho * np.eye(dim))) <= 1e-10 * (1.0 + abs(rho)):
-        return rho
-    return None
+def prepare_prediction(f: ProxOp, W):
+    """Prepare solve_prediction_inclusion(f, W, ...) once; return its unchecked solve.
+
+    solve(q, tau, anchor) serves every tau: a quadratic f has its SPDPencil
+    factored here and any other f its scalar weight decided here. A subproblem
+    that cannot be prepared gets a solve raising the SubproblemError saying why.
+    """
+    if isinstance(f, QuadraticCost):
+        W = W * np.eye(f.c.size) if np.isscalar(W) else as_matrix(W, "W")
+        try:
+            pencil = SPDPencil(f.S, W)
+        except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
+            return partial(_fail, f"quadratic subproblem not SPD: {exc}")
+
+        def solve(q, tau, anchor):
+            if tau == 1.0:
+                x = pencil.solve(f.c - q, 1.0)
+                return x, x
+            x_tilde = pencil.solve(f.c - q - (1.0 - tau) * (f.S @ anchor), tau)
+            return tau * x_tilde + (1.0 - tau) * anchor, x_tilde
+        return solve
+    rho = float(W) if np.isscalar(W) else float(np.trace(W)) / len(W)
+    scalar = np.isscalar(W) or np.max(np.abs(W - rho * np.eye(len(W)))) <= 1e-10 * (1 + abs(rho))
+    if not (scalar and rho > 0.0):
+        got = repr(float(W)) if np.isscalar(W) else f"a weight of shape {np.shape(W)}"
+        return partial(
+            _fail, f"prox subproblem needs a positive scalar quadratic weight, got {got}")
+
+    def solve(q, tau, anchor):
+        shift = 0.0 if tau == 1.0 else (1.0 - tau) * anchor
+        x_breve = f.prox(shift - (tau / rho) * q, rho / tau)
+        return x_breve, (x_breve - shift) / tau
+    return solve
+
+
+def _fail(message: str, *_):
+    raise SubproblemError(message)
 
 
 def solve_prediction_inclusion(f: ProxOp, W, q, tau: float = 1.0, anchor=None):
-    """Solve 0 in df(x_breve) + W x_tilde + q for (x_breve, x_tilde).
+    """Solve the inclusion of the module docstring for (x_breve, x_tilde).
 
-    The unknowns are tied by x_breve = tau*x_tilde + (1-tau)*anchor; with
-    tau = 1 the anchor is unused and both outputs coincide. W may be a
-    square matrix or a scalar rho standing for rho*I.
-
-    Quadratic f solves (tau*S + W) x_tilde = c - q - (1-tau)*S*anchor.
-    Any other f needs W = rho*I with rho > 0, giving
-    x_breve = prox_f((1-tau)*anchor - (tau/rho)*q, rho/tau).
+    W is a square matrix or a scalar rho for rho*I. Quadratic f solves
+    (tau*S + W) x_tilde = c - q - (1-tau)*S*anchor; any other f needs W = rho*I
+    with rho > 0, giving x_breve = prox_f((1-tau)*anchor - (tau/rho)*q, rho/tau).
     """
     q = as_vector(q, "q")
-    n = q.size
     tau = float(tau)
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    if tau == 1.0:
-        anchor = np.zeros(n)
-    elif anchor is None:
+    if tau < 1.0 and anchor is None:
         raise ValueError("anchor is required when tau < 1")
-    else:
-        anchor = as_vector(anchor, "anchor")
-
-    if isinstance(f, QuadraticCost):
-        A = tau * f.S + (W * np.eye(n) if np.isscalar(W) else as_matrix(W, "W"))
-        rhs = f.c - q - (1.0 - tau) * (f.S @ anchor)
-        try:
-            x_tilde = solve_spd(A, rhs)
-        except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
-            raise SubproblemError(f"quadratic subproblem not SPD: {exc}") from exc
-        x_breve = tau * x_tilde + (1.0 - tau) * anchor
-        return x_breve, x_tilde
-
-    rho = _as_scale(W, n)
-    if rho is None or rho <= 0.0:
-        got = repr(float(W)) if np.isscalar(W) else f"a weight of shape {np.shape(W)}"
-        raise SubproblemError(
-            f"prox subproblem needs a positive scalar quadratic weight, got {got}")
-    x_breve = f.prox((1.0 - tau) * anchor - (tau / rho) * q, rho / tau)
-    x_tilde = (x_breve - (1.0 - tau) * anchor) / tau
-    return x_breve, x_tilde
+    anchor = None if tau == 1.0 else as_vector(anchor, "anchor")
+    return prepare_prediction(f, W)(q, tau, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +146,10 @@ class TwoBlockSpec:
             if np.min(np.linalg.eigvalsh(P)) < -1e-10 * (1.0 + np.max(np.abs(P))):
                 raise ValueError("P must be positive semidefinite")
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "_W1", self.beta * gram1 + P)
         object.__setattr__(self, "_W2", self.beta * gram2)
+        object.__setattr__(self, "_solve", (
+            prepare_prediction(self.prox_f1, self.beta * gram1 + P),
+            prepare_prediction(self.prox_f2, self._W2)))
         object.__setattr__(self, "objectives", (self.prox_f1, self.prox_f2))
         object.__setattr__(self, "coupling", ((self.A1, self.A2), self.b))
 
@@ -198,19 +201,18 @@ class TwoBlockSpec:
         """Gauss-Seidel sweep; returns (w_breve, w_tilde), one object at tau = 1."""
         x1, x2, lam = np.split(v, np.cumsum(self.block_dims())[:-1])
         prev = None if tau == 1.0 else breve_prev  # no anchor at tau = 1
-        a1 = prev["x1"] if prev is not None else None
-        a2 = prev["x2"] if prev is not None else None
+        a1, a2, _ = (None,) * 3 if prev is None else prev.blocks
 
         q1 = -self.A1.T @ lam + self.beta * (self.A1.T @ (self.A2 @ x2 - self.b)) \
             - self.P @ x1
-        b1, t1 = solve_prediction_inclusion(self.prox_f1, self._W1, q1, tau, a1)
+        b1, t1 = self._solve[0](q1, tau, a1)
 
         slack = self.A1 @ t1 + self.A2 @ x2 - self.b
         lam_tilde = lam - self.beta * slack
         lam_half = lam - self.r * self.beta * slack
 
         q2 = -self.A2.T @ lam_half + self.beta * (self.A2.T @ (self.A1 @ t1 - self.b))
-        b2, t2 = solve_prediction_inclusion(self.prox_f2, self._W2, q2, tau, a2)
+        b2, t2 = self._solve[1](q2, tau, a2)
         names = self.block_names()
         w_tilde = BlockVector(names, (t1, t2, lam_tilde))
         if prev is None:
@@ -259,7 +261,8 @@ class MultiBlockSpec:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        object.__setattr__(self, "_W", tuple(self.beta * (A.T @ A) for A in mats))
+        object.__setattr__(self, "_solve", tuple(
+            prepare_prediction(f, self.beta * (A.T @ A)) for f, A in zip(fs, mats)))
         object.__setattr__(self, "objectives", fs)
         object.__setattr__(self, "coupling", (mats, self.b))
 
@@ -318,10 +321,9 @@ class MultiBlockSpec:
         tildes, breves = [], []
         drift = np.zeros(self.n_constraints)  # sum_{j<i} A_j (xt_j - x_j)
         sum_ax = np.zeros(self.n_constraints)
-        for i, (f, A, W) in enumerate(zip(self.prox_f_i, self.A_i, self._W)):
+        for i, (A, solve) in enumerate(zip(self.A_i, self._solve)):
             q = -A.T @ lam + self.beta * (A.T @ (drift - ax[i]))
-            a = prev[i] if prev is not None else None
-            xb, xt = solve_prediction_inclusion(f, W, q, tau, a)
+            xb, xt = solve(q, tau, None if prev is None else prev[i])
             breves.append(xb)
             tildes.append(xt)
             drift += A @ xt - ax[i]
@@ -370,6 +372,8 @@ class SaddleSpec:
             raise ValueError("alpha must be finite")
         object.__setattr__(self, "objectives", (self.prox_f, self.prox_g))
         object.__setattr__(self, "coupling", ((self.A,), None))
+        object.__setattr__(self, "_solve", (prepare_prediction(self.prox_f, self.r),
+                                            prepare_prediction(self.prox_g, self.s)))
 
     @property
     def n_primal(self) -> int:
@@ -411,15 +415,11 @@ class SaddleSpec:
         """Primal prox, momentum push, dual prox; returns (w_breve, w_tilde)."""
         x, y = np.split(v, np.cumsum(self.block_dims())[:-1])
         prev = None if tau == 1.0 else breve_prev  # no anchor at tau = 1
-        ax = prev["x"] if prev is not None else None
-        ay = prev["y"] if prev is not None else None
-        xb, xt = solve_prediction_inclusion(
-            self.prox_f, self.r, -self.r * x - self.A.T @ y, tau, ax)
+        ax, ay = (None, None) if prev is None else prev.blocks
+        xb, xt = self._solve[0](-self.r * x - self.A.T @ y, tau, ax)
         x_push = xt + self.alpha * (xt - x)
-        yb, yt = solve_prediction_inclusion(
-            self.prox_g, self.s, self.A @ x_push - self.s * y, tau, ay)
-        names = self.block_names()
-        w_tilde = BlockVector(names, (xt, yt))
+        yb, yt = self._solve[1](self.A @ x_push - self.s * y, tau, ay)
+        w_tilde = BlockVector(self.block_names(), (xt, yt))
         if prev is None:
             return w_tilde, w_tilde
-        return BlockVector(names, (xb, yb)), w_tilde
+        return BlockVector(self.block_names(), (xb, yb)), w_tilde

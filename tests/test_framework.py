@@ -229,6 +229,28 @@ def _small_instance(family, seed, n, m):
     return make_matrix_game(np.random.default_rng(seed).normal(size=(m, n)))
 
 
+@pytest.mark.parametrize("family", ["two-block-quadratic", "two-block-l1",
+                                    "multi-block-quadratic", "saddle-quadratic",
+                                    "matrix-game"])
+def test_run_factors_nothing_in_the_loop(family, monkeypatch):
+    # the subproblems are prepared when the spec is built; a run's only PD
+    # checks are certify's two (H and G)
+    from predcorr import framework, linalg, problems, solvers
+    inst = _small_instance(family, 0, 3, 2)
+    calls = []
+    check = linalg.cholesky_pd_check
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    for module in (framework, linalg, problems, solvers):
+        monkeypatch.setattr(module, "cholesky_pd_check", counted)
+    trace = run(inst, "faster", 20)
+    assert trace.failure is None and len(trace.records) == 20
+    assert len(calls) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(family=st.sampled_from(["two-block-quadratic", "two-block-l1",
                                "multi-block-quadratic", "saddle-quadratic",

@@ -35,6 +35,49 @@ def test_pd_check_pivots():
     np.testing.assert_allclose(res.factor @ res.factor.T, S, rtol=1e-14)
 
 
+def _loop_pivots(S, tol=1e-10):
+    """(index, value) of the first pivot at or below the threshold, by the plain loop."""
+    threshold = tol * (1.0 + S.diagonal().max())
+    L = np.zeros_like(S)
+    for j in range(S.shape[0]):
+        pivot = S[j, j] - L[j, :j] @ L[j, :j]
+        if pivot <= threshold:
+            return j, pivot
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1:, j] = (S[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return None
+
+
+def _six_by_six(last_diag):
+    # G G' with G lower triangular: pivot 4 is G[4, 4]^2 exactly in exact arithmetic
+    G = np.tril(np.arange(1.0, 37.0).reshape(6, 6) % 7 + 1.0)
+    G[4, 4] = last_diag
+    return G @ G.T
+
+
+@pytest.mark.parametrize("S", [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),  # LAPACK fails as well
+    _six_by_six(0.0),                     # singular: LAPACK fails at pivot 4
+    _six_by_six(1e-7),                    # LAPACK passes, pivot 4 under the threshold
+], ids=["2x2-indefinite", "6x6-singular", "6x6-tiny-pivot"])
+def test_pd_check_reports_the_loops_pivot(S):
+    index, value = _loop_pivots(S)
+    res = cholesky_pd_check(S)
+    assert not res.positive_definite and res.factor is None
+    assert res.pivot_index == index
+    assert res.pivot_value == value
+
+
+def test_pd_check_passing_factor_and_input_untouched():
+    S = _six_by_six(1.5)
+    before = S.copy()
+    res = cholesky_pd_check(S)
+    assert res.positive_definite
+    np.testing.assert_allclose(res.factor @ res.factor.T, S, rtol=1e-13)
+    assert np.array_equal(np.tril(res.factor), res.factor)
+    assert np.array_equal(S, before)
+
+
 def test_solve_spd_oracle():
     # [[4,1],[1,3]] x = (1,2)  =>  x = (1/11, 7/11)
     A = np.array([[4.0, 1.0], [1.0, 3.0]])

@@ -109,9 +109,22 @@ def test_constructors_reject_non_finite_parameters(build):
         build()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: soft_threshold(np.ones(2), float("nan")),
+    lambda: soft_threshold(np.ones(2), float("inf")),
+    lambda: project_box(np.ones(2), float("nan"), 1.0),
+    lambda: project_box(np.ones(2), 0.0, [1.0, float("nan")]),
+], ids=["threshold-nan", "threshold-inf", "box-lo-nan", "box-hi-nan"])
+def test_operators_reject_nan_parameters(call):
+    # a NaN weight or bound would otherwise give an all-NaN vector
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_box_allows_infinite_bounds():
     box = BoxIndicator([-np.inf, 0.0], [1.0, np.inf])
     np.testing.assert_allclose(box.prox(np.array([-5.0, 5.0]), 1.0), [-5.0, 5.0])
+    np.testing.assert_allclose(project_box(np.array([-5.0, 5.0]), -np.inf, np.inf), [-5.0, 5.0])
 
 
 def test_json_round_trip():

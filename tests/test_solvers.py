@@ -14,8 +14,10 @@ from predcorr import (
     make_multiblock_quadratic,
     make_saddle_quadratic,
     make_two_block_quadratic,
+    run,
     solve_prediction_inclusion,
 )
+from predcorr.solvers import prepare_prediction
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +88,58 @@ def test_inclusion_validation():
         # indefinite quadratic subproblem
         solve_prediction_inclusion(
             QuadraticCost(np.zeros((1, 1)), np.zeros(1)), -1.0, np.zeros(1))
+
+
+def _pencil_case(kind):
+    rng = np.random.default_rng(5)
+    if kind == "spd-s-pd-w":
+        G, H = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
+        return G @ G.T + 0.1 * np.eye(6), H @ H.T + 0.5 * np.eye(6)
+    A = rng.normal(size=(3, 5))  # wider than tall: W = A'A is singular
+    return np.eye(5), A.T @ A
+
+
+@pytest.mark.parametrize("kind", ["spd-s-pd-w", "identity-s-singular-w"])
+@pytest.mark.parametrize("tau", [1.0, 0.5, 1e-3, 1e-6])
+def test_prepared_solve_matches_dense_solve(kind, tau):
+    S, W = _pencil_case(kind)
+    rng = np.random.default_rng(6)
+    f = QuadraticCost(S, rng.normal(size=S.shape[0]))
+    q, anchor = rng.normal(size=(2, S.shape[0]))
+    xb, xt = prepare_prediction(f, W)(q, tau, anchor)
+    M = tau * S + W
+    rhs = f.c - q - (1.0 - tau) * (S @ anchor)
+    want = np.linalg.solve(M, rhs)
+    # 1e-12 relative, unless the system's own conditioning bounds what any
+    # backward-stable solve can match (singular W at small tau)
+    tol = max(1e-12, 10 * np.linalg.cond(M) * np.finfo(float).eps)
+    assert np.linalg.norm(xt - want) <= tol * np.linalg.norm(want)
+    # backward error of the prepared solve itself stays at rounding level
+    assert np.linalg.norm(M @ xt - rhs) <= 1e-14 * np.linalg.norm(M, 2) * np.linalg.norm(xt)
+    np.testing.assert_allclose(xb, tau * xt + (1.0 - tau) * anchor, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("S, W, why", [
+    (np.diag([1.0, -3.0]), np.eye(2), "pivot 1"),            # S + W indefinite
+    (2.0 * np.eye(2), -np.eye(2), "indefinite for tau below"),  # PD at tau = 1 only
+], ids=["s-plus-w-indefinite", "w-indefinite"])
+def test_prepared_solve_rejects_non_spd_pencil(S, W, why):
+    solve = prepare_prediction(QuadraticCost(S, np.zeros(2)), W)
+    with pytest.raises(SubproblemError) as info:
+        solve(np.zeros(2), 1.0, None)
+    assert "\n" not in str(info.value)
+    assert str(info.value).startswith("quadratic subproblem not SPD")
+    assert why in str(info.value)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+def test_multiblock_wider_than_constraints_runs_clean(mode):
+    # blocks of width 5 under 3 constraint rows: each beta*A_i'A_i is singular
+    inst = make_multiblock_quadratic(0, 3, 5, 3)
+    trace = run(inst, mode, 60)
+    assert trace.failure is None and len(trace.records) == 60
+    assert all(np.isfinite(r.gap_at_star) for r in trace.records)
+    assert trace.records[-1].vdist_sq_h < trace.records[0].vdist_sq_h
 
 
 # ---------------------------------------------------------------------------
