@@ -124,7 +124,6 @@ def test_operators_reject_nan_parameters(call):
 def test_box_allows_infinite_bounds():
     box = BoxIndicator([-np.inf, 0.0], [1.0, np.inf])
     np.testing.assert_allclose(box.prox(np.array([-5.0, 5.0]), 1.0), [-5.0, 5.0])
-    np.testing.assert_allclose(project_box(np.array([-5.0, 5.0]), -np.inf, np.inf), [-5.0, 5.0])
 
 
 def test_json_round_trip():
