@@ -184,27 +184,28 @@ def cmd_certify(cfg: RunConfig) -> int:
     return 0 if cert.satisfied else 1
 
 
-def _run_one(instance, cfg: RunConfig, mode: str):
+def _run_and_write(instance, cfg: RunConfig, mode: str, csv_path: Path):
+    """Run one mode, write its CSV, return (trace, summary); a raising run writes none."""
     start = time.perf_counter()
     trace = run(instance, mode, cfg.budget, tau_init=cfg.tau_init,
                 override_uncertified=cfg.override_uncertified)
-    return trace, time.perf_counter() - start
+    runtime = time.perf_counter() - start
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    write_trace_csv(trace, csv_path)
+    return trace, summarize_trace(trace, runtime)
+
+
+def _write_json(doc: dict, path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_run(cfg: RunConfig) -> int:
     instance = build_instance(cfg)
-    try:
-        trace, runtime = _run_one(instance, cfg, cfg.mode)
-    except UncertifiedSpecError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     outdir = Path(cfg.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace, outdir / "trace.csv")
-    summary = summarize_trace(trace, runtime)
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    trace, summary = _run_and_write(instance, cfg, cfg.mode, outdir / "trace.csv")
+    _write_json(summary, outdir / "summary.json")
     print(f"wrote {outdir / 'trace.csv'} ({len(trace)} rows) and "
           f"{outdir / 'summary.json'}")
     return 1 if trace.failure is not None else 0
@@ -213,25 +214,13 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     instance = build_instance(cfg)
     outdir = Path(cfg.out or ".")
+    doc = {"family": instance.family, "budget": cfg.budget, "tau_init": cfg.tau_init}
     status = 0
-    sides = {}
     for mode in ("baseline", "faster"):
-        try:
-            trace, runtime = _run_one(instance, cfg, mode)
-        except UncertifiedSpecError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(trace, outdir / f"{mode}_trace.csv")
-        sides[mode] = summarize_trace(trace, runtime)
+        trace, doc[mode] = _run_and_write(instance, cfg, mode, outdir / f"{mode}_trace.csv")
         if trace.failure is not None:
             status = 1
-    doc = {"family": instance.family, "budget": cfg.budget,
-           "tau_init": cfg.tau_init, "baseline": sides["baseline"],
-           "faster": sides["faster"]}
-    with open(outdir / "compare.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, outdir / "compare.json")
     print(f"wrote {outdir / 'baseline_trace.csv'}, {outdir / 'faster_trace.csv'} "
           f"and {outdir / 'compare.json'}")
     return status
@@ -353,6 +342,9 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(_config_from_args(args))
         return cmd_rates(args.trace, args.metric, args.k_lo, args.k_hi)
+    except UncertifiedSpecError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

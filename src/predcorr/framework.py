@@ -81,13 +81,14 @@ def _min_pivot(result) -> float:
     return float(result.pivot_value)
 
 
-def certify(spec: CorrectionSpec, tol: float = 1e-10) -> ConvergenceCertificate:
+def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     """Build the convergence certificate for a correction spec.
 
     H is computed as Q M^{-1}; in exact arithmetic it is symmetric for every
     scheme in this package, so asymmetry beyond 1e-8 relative signals a
     construction error and raises rather than failing the condition. The
-    floating-point remainder is symmetrized away before the pivot checks.
+    floating-point remainder is symmetrized away before the pivot checks,
+    which use the package's one threshold, linalg.PD_TOL.
 
     Raises
     ------
@@ -104,8 +105,8 @@ def certify(spec: CorrectionSpec, tol: float = 1e-10) -> ConvergenceCertificate:
     H = 0.5 * (h_raw + h_raw.T)
     G = spec.Q.T + spec.Q - spec.M.T @ H @ spec.M
     G = 0.5 * (G + G.T)
-    h_res = cholesky_pd_check(H, tol)
-    g_res = cholesky_pd_check(G, tol)
+    h_res = cholesky_pd_check(H)
+    g_res = cholesky_pd_check(G)
     return ConvergenceCertificate(
         H=H, G=G,
         h_min_pivot=_min_pivot(h_res),
@@ -116,7 +117,7 @@ def certify(spec: CorrectionSpec, tol: float = 1e-10) -> ConvergenceCertificate:
 
 def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
         w0: BlockVector | None = None, residual_floor: float | None = None,
-        override_uncertified: bool = False, tol: float = 1e-10) -> IterationTrace:
+        override_uncertified: bool = False) -> IterationTrace:
     """Drive a full prediction-correction run and collect its trace.
 
     Parameters
@@ -157,15 +158,16 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
 
     spec = instance.spec
     cspec = spec.correction_spec()
-    cert = certify(cspec, tol)
+    cert = certify(cspec)
     if not cert.satisfied and not override_uncertified:
         raise UncertifiedSpecError(
             "convergence certificate failed "
             f"(h_min_pivot={cert.h_min_pivot:.3e}, g_min_pivot={cert.g_min_pivot:.3e}); "
             "pass override_uncertified=True to run anyway")
 
-    w_start = spec.initial_point() if w0 is None else w0
-    if not w_start.same_structure(spec.initial_point()):
+    zero = BlockVector.zeros(spec.block_names(), spec.block_dims())
+    w_start = zero if w0 is None else w0
+    if not w_start.same_structure(zero):
         raise ValueError("w0 does not match the spec's block structure")
     v = spec.image(w_start)
     H, M = cert.H, cspec.M
@@ -176,7 +178,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
 
     trace = IterationTrace(
         family=instance.family, mode=mode, budget=budget, tau_init=float(tau_init),
-        certificate=cert, uncertified=not cert.satisfied, has_oracle=has_oracle,
+        certificate=cert, uncertified=not cert.satisfied,
         initial_vdist_sq_h=initial_vdist)
 
     # Baseline is the tau = 1 case of faster: the same predictor and
@@ -197,19 +199,20 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
                 if faster:
                     measured = w_breve
                     v_breve = spec.image(w_breve)
-                    diff = v_breve - v_breve_prev
+                    m_diff = M @ (v_breve - v_breve_prev)
                     v_breve_prev = v_breve
                 else:
                     tilde_sum = w_tilde if tilde_sum is None else tilde_sum + w_tilde
                     measured = (1.0 / (k + 1)) * tilde_sum
-                    diff = v - v_tilde
-                m_diff = M @ diff
+                    m_diff = M @ (v - v_tilde)
                 residual = float(m_diff @ (H @ m_diff))
                 breve_prev = w_breve
-                v = v - M @ (v - v_tilde)
+                # baseline's residual product is its correction step
+                v = v - (M @ (v - v_tilde) if faster else m_diff)
 
+                theta = instance.objective(measured)
                 if has_oracle:
-                    gap = instance.gap_to_star(measured)
+                    gap = instance._gap_to_star(measured, theta)
                     v_err = v - v_star
                     vdist = float(v_err @ (H @ v_err))
                 else:
@@ -217,9 +220,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
                 record = TraceRecord(
                     k=k, tau=tau_k, gap_at_star=gap,
                     feasibility=instance.feasibility(measured),
-                    pointwise_residual=residual,
-                    objective=instance.objective(measured),
-                    vdist_sq_h=vdist)
+                    pointwise_residual=residual, objective=theta, vdist_sq_h=vdist)
             except SubproblemError as exc:
                 trace.failure = str(exc)
                 break

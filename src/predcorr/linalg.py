@@ -8,17 +8,22 @@ once so that each solve costs two matrix-vector products. Matrices and
 vectors are plain numpy arrays validated on entry; problems at the intended
 scale are small and dense, so there is no sparse path.
 
-Positive definiteness is always decided by Cholesky pivots with a relative
-tolerance, never by eigensolvers: the pivot sequence is deterministic and the
-first nonpositive pivot is exactly the evidence a failed certificate needs.
-LAPACK computes the factor; the pivot loop reruns only when LAPACK's factor
-does not clear the threshold, and its verdict names the offending pivot.
+Positive definiteness is always decided by Cholesky pivots with the one
+relative tolerance PD_TOL, never by eigensolvers: the pivot sequence is
+deterministic and the first nonpositive pivot is exactly the evidence a
+failed certificate needs. LAPACK computes the factor; the pivot loop reruns
+only when LAPACK's factor does not clear the threshold, and its verdict
+names the offending pivot.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# The one positive-definiteness threshold: relative to 1 + max diagonal for a
+# pivot, to 1 + ||S||_max for asymmetry, and to 1 for a pencil eigenvalue d.
+PD_TOL = 1e-10
 
 
 class AsymmetryError(ValueError):
@@ -89,16 +94,15 @@ class PDResult:
     pivot_value: float | None
 
 
-def cholesky_pd_check(S, tol: float = 1e-10) -> PDResult:
+def cholesky_pd_check(S) -> PDResult:
     """Check symmetric positive definiteness by Cholesky pivots.
 
     Parameters
     ----------
     S : array_like
-        Square matrix, symmetric to within ``tol * (1 + ||S||_max)``.
-    tol : float
-        Relative tolerance. A pivot must exceed ``tol * (1 + max diagonal)``
-        to count as positive.
+        Square matrix, symmetric to within ``PD_TOL * (1 + ||S||_max)``.
+        A pivot must exceed ``PD_TOL * (1 + max diagonal)`` to count as
+        positive.
 
     Returns
     -------
@@ -111,11 +115,11 @@ def cholesky_pd_check(S, tol: float = 1e-10) -> PDResult:
     read, never copied or changed.
     """
     S = _checked(S, 2, "S")
-    check_symmetric(S, tol, "S")
+    check_symmetric(S, PD_TOL, "S")
     n = S.shape[0]
     if n == 0:
         return PDResult(True, np.zeros((0, 0)), None, None)
-    threshold = tol * (1.0 + float(S.diagonal().max()))
+    threshold = PD_TOL * (1.0 + float(S.diagonal().max()))
     try:
         L = np.linalg.cholesky(S)
         if float(L.diagonal().min()) ** 2 > threshold:
@@ -133,7 +137,7 @@ def cholesky_pd_check(S, tol: float = 1e-10) -> PDResult:
     return PDResult(True, L, None, None)
 
 
-def solve_spd(S, rhs, tol: float = 1e-10) -> np.ndarray:
+def solve_spd(S, rhs) -> np.ndarray:
     """Solve S x = rhs for symmetric positive definite S.
 
     The definiteness check is the same pivot test as cholesky_pd_check; a
@@ -141,7 +145,7 @@ def solve_spd(S, rhs, tol: float = 1e-10) -> np.ndarray:
     the computed triangular factor.
     """
     rhs = as_vector(rhs, "rhs")
-    res = cholesky_pd_check(S, tol)
+    res = cholesky_pd_check(S)
     if not res.positive_definite:
         raise NotPositiveDefiniteError(res.pivot_index, res.pivot_value)
     y = np.linalg.solve(res.factor, rhs)
@@ -164,16 +168,16 @@ class SPDPencil:
     NotPositiveDefiniteError
         If B fails the pivot check.
     numpy.linalg.LinAlgError
-        If some d exceeds 1 + tol, so small tau gives an indefinite system.
+        If some d exceeds 1 + PD_TOL, so small tau gives an indefinite system.
     """
 
-    def __init__(self, S, W, tol: float = 1e-10):
-        res = cholesky_pd_check(S + W, tol)
+    def __init__(self, S, W):
+        res = cholesky_pd_check(S + W)
         if not res.positive_definite:
             raise NotPositiveDefiniteError(res.pivot_index, res.pivot_value)
         L = res.factor
         d, U = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, S).T))
-        if d[-1] > 1.0 + tol:
+        if d[-1] > 1.0 + PD_TOL:
             raise np.linalg.LinAlgError(
                 f"tau*S + W is indefinite for tau below {1.0 - 1.0 / d[-1]:.6e}")
         self.d = d

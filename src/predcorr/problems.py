@@ -73,7 +73,8 @@ class VariationalInstance:
     def __post_init__(self):
         if self.w_star is None:
             return
-        if not self.w_star.same_structure(self.spec.initial_point()):
+        zero = BlockVector.zeros(self.spec.block_names(), self.spec.block_dims())
+        if not self.w_star.same_structure(zero):
             raise ValueError("w_star does not match the spec's blocks")
         if self.feasibility(self.w_star) > 1e-10:
             raise ValueError("oracle point is not feasible")
@@ -109,20 +110,30 @@ class VariationalInstance:
     def gap_to_star(self, w: BlockVector) -> float:
         if self.w_star is None:
             raise ValueError("instance has no oracle point")
-        return _gap(w, self.w_star, self, self._theta_star, self._F_star)
+        _check_same_blocks(w, self.w_star)
+        return self._gap_to_star(w, self.objective(w))
+
+    def _gap_to_star(self, w: BlockVector, theta: float) -> float:
+        """gap_to_star(w) given theta(u); the run loop evaluates theta once for both."""
+        return _gap(w, self.w_star, theta, self._theta_star, self._F_star)
 
 
 def gap_at(w_hat: BlockVector, w_ref: BlockVector, instance: VariationalInstance) -> float:
     """theta(u_hat) - theta(u_ref) + (w_hat - w_ref)' F(w_ref)."""
-    return _gap(w_hat, w_ref, instance, instance.objective(w_ref), instance.F(w_ref))
+    _check_same_blocks(w_hat, w_ref)
+    return _gap(w_hat, w_ref, instance.objective(w_hat), instance.objective(w_ref),
+                instance.F(w_ref))
 
 
-def _gap(w_hat, w_ref, instance, theta_ref: float, F_ref: np.ndarray) -> float:
-    """gap_at with theta(u_ref) and F(w_ref) given."""
+def _check_same_blocks(w_hat, w_ref) -> None:
     if not w_hat.same_structure(w_ref):
         raise ValueError("w_hat and w_ref structures disagree")
+
+
+def _gap(w_hat, w_ref, theta_hat: float, theta_ref: float, F_ref: np.ndarray) -> float:
+    """gap_at with theta(u_hat), theta(u_ref) and F(w_ref) given."""
     diff = w_hat.concat() - w_ref.concat()
-    return float(instance.objective(w_hat) - theta_ref + diff @ F_ref)
+    return float(theta_hat - theta_ref + diff @ F_ref)
 
 
 def kkt_oracle(instance: VariationalInstance) -> BlockVector:

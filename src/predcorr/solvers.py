@@ -28,7 +28,7 @@ import numpy as np
 
 from .blocks import BlockVector
 from .framework import CorrectionSpec, SubproblemError
-from .linalg import (NotPositiveDefiniteError, SPDPencil, as_matrix, as_vector,
+from .linalg import (PD_TOL, NotPositiveDefiniteError, SPDPencil, as_matrix, as_vector,
                      check_symmetric, cholesky_pd_check, spectral_radius_gram)
 from .prox import ProxOp, QuadraticCost
 
@@ -142,8 +142,8 @@ class TwoBlockSpec:
             P = as_matrix(self.P, "P")
             if P.shape != (self.n1, self.n1):
                 raise ValueError("P dimension does not match A1 columns")
-            check_symmetric(P, 1e-10, "P")
-            if np.min(np.linalg.eigvalsh(P)) < -1e-10 * (1.0 + np.max(np.abs(P))):
+            check_symmetric(P, PD_TOL, "P")
+            if np.min(np.linalg.eigvalsh(P)) < -PD_TOL * (1.0 + np.max(np.abs(P))):
                 raise ValueError("P must be positive semidefinite")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "_W2", self.beta * gram2)
@@ -190,9 +190,6 @@ class TwoBlockSpec:
         M[n1 + n2:, n1:n1 + n2] = -s * beta * A2
         M[n1 + n2:, n1 + n2:] = (r + s) * np.eye(l)
         return CorrectionSpec(Q=Q, M=M)
-
-    def initial_point(self) -> BlockVector:
-        return BlockVector.zeros(self.block_names(), self.block_dims())
 
     def image(self, w: BlockVector) -> np.ndarray:
         return w.concat()
@@ -302,9 +299,6 @@ class MultiBlockSpec:
         M[m * l:, m * l:] = eye
         return CorrectionSpec(Q=Q, M=M)
 
-    def initial_point(self) -> BlockVector:
-        return BlockVector.zeros(self.block_names(), self.block_dims())
-
     def image(self, w: BlockVector) -> np.ndarray:
         rb = np.sqrt(self.beta)
         parts = [rb * (A @ w[i]) for i, A in enumerate(self.A_i)]
@@ -326,8 +320,9 @@ class MultiBlockSpec:
             xb, xt = solve(q, tau, None if prev is None else prev[i])
             breves.append(xb)
             tildes.append(xt)
-            drift += A @ xt - ax[i]
-            sum_ax += A @ xt
+            a_xt = A @ xt
+            drift += a_xt - ax[i]
+            sum_ax += a_xt
         lam_tilde = lam - self.beta * (sum_ax - self.b)
         names = self.block_names()
         w_tilde = BlockVector(names, (*tildes, lam_tilde))
@@ -404,9 +399,6 @@ class SaddleSpec:
         M = np.eye(n + m)
         M[n:, :n] = -((1.0 - self.alpha) / self.s) * self.A
         return CorrectionSpec(Q=Q, M=M)
-
-    def initial_point(self) -> BlockVector:
-        return BlockVector.zeros(self.block_names(), self.block_dims())
 
     def image(self, w: BlockVector) -> np.ndarray:
         return w.concat()

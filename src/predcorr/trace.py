@@ -41,7 +41,6 @@ class IterationTrace:
     records: list[TraceRecord] = field(default_factory=list)
     certificate: object | None = None
     uncertified: bool = False
-    has_oracle: bool = False
     initial_vdist_sq_h: float | None = None
     final_v: object | None = None
     final_breve: BlockVector | None = None

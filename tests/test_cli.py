@@ -177,6 +177,14 @@ def test_run_uncertified_guard(tmp_path, capsys):
     assert summary["uncertified"] is True
 
 
+def test_run_uncertified_writes_nothing(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code, _, err = call(capsys, *run_args(outdir, "--param", "r=-0.9"))
+    assert code == 1
+    assert "certif" in err.lower()
+    assert not outdir.exists()
+
+
 def test_run_divergence_writes_trace_and_exits_1(tmp_path, capsys):
     # uncertified steps make the iterates overflow; the rows before it stay
     code, _, _ = call(capsys, "run", "--generator", "saddle-quadratic",

@@ -171,9 +171,6 @@ class DocumentedSpec:
     def correction_spec(self):
         return self._inner.correction_spec()
 
-    def initial_point(self):
-        return self._inner.initial_point()
-
     def image(self, w):
         return self._inner.image(w)
 
@@ -249,6 +246,31 @@ def test_run_factors_nothing_in_the_loop(family, monkeypatch):
     trace = run(inst, "faster", 20)
     assert trace.failure is None and len(trace.records) == 20
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+@pytest.mark.parametrize("family", ["two-block-quadratic", "two-block-l1",
+                                    "multi-block-quadratic", "saddle-quadratic",
+                                    "matrix-game"])
+def test_run_evaluates_the_objective_once_per_iteration(family, mode, monkeypatch):
+    # the gap and the objective column share one theta(measured)
+    if family == "matrix-game":  # rock-paper-scissors, whose oracle is uniform play
+        inst = make_matrix_game(np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0],
+                                          [1.0, -1.0, 0.0]]))
+    else:
+        inst = _small_instance(family, 0, 3, 2)
+    assert inst.w_star is not None
+    calls = []
+    objective = VariationalInstance.objective
+
+    def counted(self, w):
+        calls.append(1)
+        return objective(self, w)
+
+    monkeypatch.setattr(VariationalInstance, "objective", counted)
+    trace = run(inst, mode, 20)
+    assert trace.failure is None and len(trace.records) == 20
+    assert len(calls) == 20
 
 
 @settings(max_examples=60, deadline=None)

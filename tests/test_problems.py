@@ -166,7 +166,7 @@ def test_matrix_game_star_policies():
     inst = make_matrix_game(np.array([[1.0, 0.0], [0.0, 0.5]]))
     assert inst.w_star is None
     with pytest.raises(ValueError):
-        inst.gap_to_star(inst.spec.initial_point())
+        inst.gap_to_star(BlockVector.zeros(inst.spec.block_names(), inst.spec.block_dims()))
 
 
 def test_matrix_game_explicit_step_sizes():
@@ -281,7 +281,7 @@ def test_document_round_trip(build):
     else:
         assert (back.w_star - inst.w_star).norm() == 0.0
     # the rebuilt spec drives identical predictions
-    w0 = inst.spec.initial_point()
+    w0 = BlockVector.zeros(inst.spec.block_names(), inst.spec.block_dims())
     _, p1 = inst.spec.predict(inst.spec.image(w0), None, 1.0)
     _, p2 = back.spec.predict(back.spec.image(w0), None, 1.0)
     assert (p1 - p2).norm() == 0.0
