@@ -12,15 +12,15 @@ from .blocks import BlockVector
 from .framework import (ConvergenceCertificate, CorrectionSpec, SingularCorrectionError,
                         SubproblemError, UncertifiedSpecError, certify, run)
 from .linalg import (AsymmetryError, NotPositiveDefiniteError, cholesky_pd_check,
-                     solve_spd, spectral_radius_gram)
+                     spectral_radius_gram)
 from .problems import (SplitMix64, VariationalInstance, gap_at, instance_from_document,
                        instance_to_document, kkt_oracle, make_matrix_game,
                        make_multiblock_quadratic, make_saddle_quadratic,
                        make_two_block_l1, make_two_block_quadratic)
 from .prox import (BoxIndicator, L1Penalty, ProxOp, QuadraticCost, SimplexIndicator,
-                   project_box, project_simplex, prox_quadratic, soft_threshold)
+                   project_box, project_simplex, soft_threshold)
 from .schedule import DEFAULT_TAU_INIT, tau_at, tau_next
-from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec, solve_prediction_inclusion
+from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec
 from .trace import CSV_COLUMNS, IterationTrace, TraceRecord
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "certify", "cholesky_pd_check", "gap_at", "instance_from_document",
     "instance_to_document", "kkt_oracle", "make_matrix_game",
     "make_multiblock_quadratic", "make_saddle_quadratic", "make_two_block_l1",
-    "make_two_block_quadratic", "project_box", "project_simplex", "prox_quadratic",
-    "run", "solve_prediction_inclusion", "soft_threshold", "solve_spd",
-    "spectral_radius_gram", "tau_at", "tau_next",
+    "make_two_block_quadratic", "project_box", "project_simplex", "run",
+    "soft_threshold", "spectral_radius_gram", "tau_at", "tau_next",
 ]

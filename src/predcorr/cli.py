@@ -133,7 +133,7 @@ def build_instance(cfg: RunConfig):
     try:
         signature.bind(*args, **cfg.params)
         return make(*args, **cfg.params)
-    except TypeError as exc:  # a missing or unknown name, or a wrong-typed value
+    except (TypeError, OverflowError) as exc:  # a bad name, type or integer size
         raise ValueError(f"generator {cfg.generator!r}: {exc}") from None
 
 

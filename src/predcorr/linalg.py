@@ -2,11 +2,11 @@
 
 Everything downstream (certificates, subproblem solves, step sizes) runs on
 the operations here: a pivot-reporting Cholesky positive-definiteness check,
-the dominant eigenvalue of a Gram matrix, an SPD linear solve, and the SPD
-pencil tau*S + W that a prediction subproblem solves at every tau, prepared
-once so that each solve costs two matrix-vector products. Matrices and
-vectors are plain numpy arrays validated on entry; problems at the intended
-scale are small and dense, so there is no sparse path.
+the dominant eigenvalue of a Gram matrix, and the SPD pencil tau*S + W that
+every SPD system in the package is solved through, prepared once so that
+each solve costs two matrix-vector products. Matrices and vectors are plain
+numpy arrays validated on entry; problems at the intended scale are small
+and dense, so there is no sparse path.
 
 Positive definiteness is always decided by Cholesky pivots with the one
 relative tolerance PD_TOL, never by eigensolvers: the pivot sequence is
@@ -137,21 +137,6 @@ def cholesky_pd_check(S) -> PDResult:
     return PDResult(True, L, None, None)
 
 
-def solve_spd(S, rhs) -> np.ndarray:
-    """Solve S x = rhs for symmetric positive definite S.
-
-    The definiteness check is the same pivot test as cholesky_pd_check; a
-    failure raises NotPositiveDefiniteError naming the pivot. The solve uses
-    the computed triangular factor.
-    """
-    rhs = as_vector(rhs, "rhs")
-    res = cholesky_pd_check(S)
-    if not res.positive_definite:
-        raise NotPositiveDefiniteError(res.pivot_index, res.pivot_value)
-    y = np.linalg.solve(res.factor, rhs)
-    return np.linalg.solve(res.factor.T, y)
-
-
 class SPDPencil:
     """The systems (tau*S + W) x = rhs for every tau in (0, 1], prepared once.
 
@@ -192,9 +177,10 @@ def spectral_radius_gram(A) -> float:
     """Largest eigenvalue of A^T A, the squared spectral norm of A.
 
     Computed from the largest singular value of A, so the result does not
-    depend on a start vector. Returns 0.0 exactly for the zero matrix.
+    depend on a start vector: 0.0 exactly for the zero matrix, inf on overflow.
     """
     A = as_matrix(A, "A")
     if not np.any(A):
         return 0.0
-    return float(np.linalg.norm(A, 2) ** 2)
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(A, 2) ** 2)

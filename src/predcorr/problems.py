@@ -252,9 +252,10 @@ def make_multiblock_quadratic(seed: int, m: int, n_i, l: int, *,
     """
     if m < 1:
         raise ValueError("need at least one block")
-    dims = [int(n_i)] * m if np.isscalar(n_i) else [int(d) for d in n_i]
-    if len(dims) != m or min(dims) < 1 or l < 1:
-        raise ValueError("block dimensions must be m positive integers")
+    dims = [n_i] * m if np.isscalar(n_i) else list(n_i)
+    if len(dims) != m or l < 1 or not all(float(d).is_integer() and d >= 1 for d in dims):
+        raise ValueError(f"block dimensions must be m positive integers, got n_i={n_i!r}")
+    dims = [int(d) for d in dims]
     rng = SplitMix64(seed)
     for _ in range(5):
         As = [rng.matrix(l, d) for d in dims]
@@ -273,12 +274,15 @@ def _saddle_steps(A: np.ndarray, alpha: float, r, s) -> tuple:
     """Step sizes (r, s) as given, or r = s = sqrt(1.05 (1 - alpha + alpha^2) rho(A'A)).
 
     The default sits 5% inside the certified region r*s > (1 - alpha +
-    alpha^2) rho(A'A); A = 0 has no coupling and takes r = s = 1.
+    alpha^2) rho(A'A), or is inf where that overflows; A = 0 takes r = s = 1.
     """
     if (r is None) != (s is None):
         raise ValueError("give both r and s, or neither")
     if r is None:
-        base = (1.0 - alpha + alpha ** 2) * spectral_radius_gram(A)
+        try:
+            base = (1.0 - alpha + alpha ** 2) * spectral_radius_gram(A)
+        except OverflowError:
+            base = float("inf")
         r = s = float(np.sqrt(1.05 * base)) if base > 0 else 1.0
     return r, s
 

@@ -2,9 +2,9 @@
 
 Every subproblem in the shipped solvers reduces to one of four operators:
 soft thresholding (l1 costs), box projection, simplex projection (matrix
-games), and the exact minimizer of a quadratic plus a proximal term. The
-kind list is deliberately closed; these are the only pieces the test
-problems need.
+games), and the exact minimizer of a quadratic plus a proximal term, which
+the prediction subproblems' SPD pencil solves. The kind list is deliberately
+closed; these are the only pieces the test problems need.
 
 The ProxOp classes bundle an operator with its objective value so traces
 can report theta(u). Indicator objectives (box, simplex) report value 0.0
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_symmetric, solve_spd
+from .linalg import SPDPencil, as_matrix, as_vector, check_symmetric
 
 
 def soft_threshold(x, weight: float):
@@ -56,19 +56,6 @@ def project_simplex(x) -> np.ndarray:
     rho = int(np.nonzero(active)[0][-1]) + 1
     theta = (css[rho - 1] - 1.0) / rho
     return np.maximum(x - theta, 0.0)
-
-
-def prox_quadratic(S, c, anchor, weight: float) -> np.ndarray:
-    """Minimizer of (1/2) x^T S x - c^T x + (weight/2) ||x - anchor||^2.
-
-    Solves (S + weight I) x = c + weight * anchor through the SPD solver;
-    requires S symmetric PSD with weight > 0, or S PD on its own.
-    """
-    S = as_matrix(S, "S")
-    c = as_vector(c, "c")
-    anchor = as_vector(anchor, "anchor")
-    lhs = S + float(weight) * np.eye(S.shape[0])
-    return solve_spd(lhs, c + float(weight) * anchor)
 
 
 class ProxOp:
@@ -188,7 +175,10 @@ class QuadraticCost(ProxOp):
         return self.S @ np.asarray(x, dtype=float) - self.c
 
     def prox(self, z, rho: float) -> np.ndarray:
-        return prox_quadratic(self.S, self.c, z, rho)
+        """Solves (S + rho I) x = c + rho z; NotPositiveDefiniteError if not SPD."""
+        rho = float(rho)
+        return SPDPencil(self.S, rho * np.eye(self.c.size)).solve(
+            self.c + rho * as_vector(z, "z"), 1.0)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "S": self.S.tolist(), "c": self.c.tolist(),

@@ -34,10 +34,11 @@ from .prox import ProxOp, QuadraticCost
 
 
 def prepare_prediction(f: ProxOp, W):
-    """Prepare solve_prediction_inclusion(f, W, ...) once; return its unchecked solve.
+    """Prepare 0 in df(x_breve) + W x_tilde + q once; return its unchecked solve.
 
-    solve(q, tau, anchor) serves every tau: a quadratic f has its SPDPencil
-    factored here and any other f its scalar weight decided here. A subproblem
+    W is a matrix or a scalar rho for rho*I. solve(q, tau, anchor) gives
+    (x_breve, x_tilde) at any tau: a quadratic f solves through its SPDPencil,
+    any other f through its prox at the scalar weight decided here. A subproblem
     that cannot be prepared gets a solve raising the SubproblemError saying why.
     """
     if isinstance(f, QuadraticCost):
@@ -72,21 +73,13 @@ def _fail(message: str, *_):
     raise SubproblemError(message)
 
 
-def solve_prediction_inclusion(f: ProxOp, W, q, tau: float = 1.0, anchor=None):
-    """Solve the inclusion of the module docstring for (x_breve, x_tilde).
-
-    W is a square matrix or a scalar rho for rho*I. Quadratic f solves
-    (tau*S + W) x_tilde = c - q - (1-tau)*S*anchor; any other f needs W = rho*I
-    with rho > 0, giving x_breve = prox_f((1-tau)*anchor - (tau/rho)*q, rho/tau).
-    """
-    q = as_vector(q, "q")
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    if tau < 1.0 and anchor is None:
-        raise ValueError("anchor is required when tau < 1")
-    anchor = None if tau == 1.0 else as_vector(anchor, "anchor")
-    return prepare_prediction(f, W)(q, tau, anchor)
+def _set_finite(spec, *names) -> None:
+    """Store each named field of a frozen spec as a float; refuse a non-finite one."""
+    for name in names:
+        value = float(getattr(spec, name))
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        object.__setattr__(spec, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +120,7 @@ class TwoBlockSpec:
         l = self.b.size
         if self.A1.shape[0] != l or self.A2.shape[0] != l:
             raise ValueError("A1, A2 and b row dimensions disagree")
-        for name in ("beta", "r", "s"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _set_finite(self, "beta", "r", "s")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         gram2 = self.A2.T @ self.A2
@@ -252,12 +244,9 @@ class MultiBlockSpec:
         for i, A in enumerate(mats):
             if A.shape[0] != l:
                 raise ValueError(f"A_{i + 1} row dimension disagrees with b")
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        _set_finite(self, "beta", "alpha")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
         object.__setattr__(self, "_solve", tuple(
             prepare_prediction(f, self.beta * (A.T @ A)) for f, A in zip(fs, mats)))
         object.__setattr__(self, "objectives", fs)
@@ -359,12 +348,9 @@ class SaddleSpec:
         object.__setattr__(self, "A", as_matrix(self.A, "A"))
         if 0 in self.A.shape:
             raise ValueError(f"A needs a row and a column, got shape {self.A.shape}")
-        for name in ("r", "s", "alpha"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _set_finite(self, "r", "s", "alpha")
         if not (self.r > 0.0 and self.s > 0.0):
             raise ValueError("r and s must be positive")
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
         object.__setattr__(self, "objectives", (self.prox_f, self.prox_g))
         object.__setattr__(self, "coupling", ((self.A,), None))
         object.__setattr__(self, "_solve", (prepare_prediction(self.prox_f, self.r),

@@ -75,6 +75,9 @@ def test_bad_generator_params(tmp_path, capsys, command, params, named):
 
 
 L1 = {"generator": "two-block-l1", "params": {"n": 2, "mu": 0.5}}
+L1_ARGS = ("--generator", "two-block-l1", "--param", "n=3", "--param", "mu=0.5")
+SADDLE = ("--generator", "saddle-quadratic", "--param", "n=3", "--param", "m=2")
+GAME = ("--generator", "matrix-game", "--param", "A=[[1,2],[3,4]]")
 
 
 def nan_weight_document():
@@ -100,12 +103,28 @@ def nan_weight_document():
     (("--config", dict(L1, out=5)), "'out'"),
     (("--config", dict(L1, override_uncertified="no"), "--param", "r=1.5"),
      "'override_uncertified'"),
+    (SADDLE + ("--param", "alpha=1e200"), "r must be finite"),
+    (SADDLE + ("--param", "alpha=-1e200"), "r must be finite"),
+    (GAME + ("--param", "alpha=1e200"), "r must be finite"),
+    (("--generator", "matrix-game", "--param", "A=[[1e308,-1e308],[1,2]]"),
+     "r must be finite"),
+    (L1_ARGS + ("--param", "beta=Infinity"), "beta must be finite"),
+    (L1_ARGS + ("--param", "r=Infinity"), "r must be finite"),
+    (L1_ARGS + ("--param", "beta=1" + "0" * 400), "too large"),
+    (SADDLE + ("--param", "r=Infinity", "--param", "s=1"), "r must be finite"),
+    (("--generator", "multi-block-quadratic", "--param", "m=2", "--param", "n_i=2.5",
+      "--param", "l=3"), "n_i=2.5"),
 ], ids=["wrong-type-param", "empty-game", "document-field", "document-list",
         "document-nan-weight", "config-list", "config-budget-str",
         "config-budget-float", "config-seed-bool", "config-tau-str",
-        "config-params-str", "config-out-int", "config-override-str"])
+        "config-params-str", "config-out-int", "config-override-str",
+        "saddle-alpha-huge", "saddle-alpha-huge-negative", "game-alpha-huge",
+        "game-default-step-overflow", "l1-beta-inf", "l1-r-inf", "l1-beta-huge-int",
+        "saddle-r-inf",
+        "multiblock-fractional-dim"])
 def test_malformed_input_exits_2(tmp_path, capsys, source, named):
     # outside input that cannot make an instance ends with one stderr line
+    # naming the problem (a numpy RuntimeWarning on the way fails the suite)
     flag, value, *rest = source
     if not isinstance(value, str):
         path = tmp_path / "input.json"

@@ -18,6 +18,7 @@ from predcorr import (
     make_two_block_l1,
     make_two_block_quadratic,
     run,
+    spectral_radius_gram,
     tau_at,
 )
 
@@ -294,3 +295,45 @@ def test_run_faster_never_raises_on_certified_instances(family, seed, n, m, budg
         # from the zero start, outside the matrix game's simplices, the first
         # tilde point is O(1/tau_init) and its squared H-norm overflows
         assert trace.failure is None or trace.failure.startswith("diverged at k=")
+
+
+# ---------------------------------------------------------------------------
+# the paper's sufficient conditions imply the certificate
+
+REGION_MARGIN = 1e-6
+region_settings = settings(max_examples=200, deadline=None, derandomize=True)
+sizes = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4))
+
+
+@region_settings
+@given(l1=st.booleans(), beta=st.floats(1e-2, 1e2), r=st.floats(-1.0, 1.0),
+       s=st.floats(0.0, 1.0), **sizes)
+def test_two_block_region_is_certified(l1, beta, r, s, seed, n, m):
+    if l1:
+        inst = make_two_block_l1(seed, n, 0.5, beta=beta, r=r, s=s)
+    else:
+        inst = make_two_block_quadratic(seed, n, m, n + m, beta=beta, r=r, s=s)
+    assume(inst.spec.in_certified_region(REGION_MARGIN))
+    assert certify(inst.spec.correction_spec()).satisfied
+
+
+@region_settings
+@given(beta=st.floats(1e-2, 1e2), alpha=st.floats(0.0, 1.0), **sizes)
+def test_multi_block_region_is_certified(beta, alpha, seed, n, m):
+    inst = make_multiblock_quadratic(seed, m, n, n, beta=beta, alpha=alpha)
+    assume(inst.spec.in_certified_region(REGION_MARGIN))
+    assert certify(inst.spec.correction_spec()).satisfied
+
+
+@region_settings
+@given(game=st.booleans(), alpha=st.floats(0.0, 1.0), split=st.floats(-2.0, 2.0),
+       scale=st.floats(0.5, 10.0), **sizes)
+def test_saddle_region_is_certified(game, alpha, split, scale, seed, n, m):
+    # r*s = scale * (1 - alpha + alpha^2) rho(A'A), split between r and s by
+    # the factor 10**split; a scale near or below 1 may fall outside the region
+    inst = _small_instance("matrix-game" if game else "saddle-quadratic", seed, n, m)
+    rs = scale * (1.0 - alpha + alpha ** 2) * spectral_radius_gram(inst.spec.A)
+    r = 10.0 ** split * np.sqrt(rs)
+    spec = replace(inst.spec, r=r, s=rs / r, alpha=alpha)
+    assume(spec.in_certified_region(REGION_MARGIN))
+    assert certify(spec.correction_spec()).satisfied

@@ -3,11 +3,11 @@ import pytest
 
 from predcorr import (
     AsymmetryError,
+    NotPositiveDefiniteError,
     cholesky_pd_check,
-    solve_spd,
     spectral_radius_gram,
 )
-from predcorr.linalg import check_symmetric
+from predcorr.linalg import SPDPencil, check_symmetric
 
 
 def test_check_symmetric_accepts_near_symmetric():
@@ -78,17 +78,17 @@ def test_pd_check_passing_factor_and_input_untouched():
     assert np.array_equal(S, before)
 
 
-def test_solve_spd_oracle():
+def test_pencil_zero_weight_oracle():
+    # W = 0 at tau = 1 is the plain SPD solve
     # [[4,1],[1,3]] x = (1,2)  =>  x = (1/11, 7/11)
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
-    x = solve_spd(A, np.array([1.0, 2.0]))
+    x = SPDPencil(A, np.zeros((2, 2))).solve(np.array([1.0, 2.0]), 1.0)
     np.testing.assert_allclose(x, [1.0 / 11.0, 7.0 / 11.0], rtol=1e-14)
 
 
-def test_solve_spd_rejects_indefinite():
-    from predcorr import NotPositiveDefiniteError
+def test_pencil_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
-        solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        SPDPencil(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)))
 
 
 def test_spectral_radius_gram_exact_cases():

@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 from predcorr import (
     BoxIndicator,
     L1Penalty,
+    NotPositiveDefiniteError,
     ProxOp,
     QuadraticCost,
     SimplexIndicator,
     project_box,
     project_simplex,
-    prox_quadratic,
     soft_threshold,
 )
 
@@ -49,13 +49,16 @@ def test_project_simplex_is_feasible_and_optimal(vals):
         assert np.linalg.norm(c - z) >= best - 1e-9
 
 
-def test_prox_quadratic_oracle():
+def test_quadratic_prox_oracle():
     # min_x 0.5 x'Sx - c'x + (rho/2)||x - z||^2  =>  (S + rho I) x = c + rho z
     S = np.array([[2.0, 0.0], [0.0, 4.0]])
     c = np.array([1.0, 1.0])
     z = np.array([1.0, -1.0])
-    x = prox_quadratic(S, c, z, weight=2.0)
+    x = QuadraticCost(S, c).prox(z, 2.0)
     np.testing.assert_allclose(x, [(1.0 + 2.0) / 4.0, (1.0 - 2.0) / 6.0], rtol=1e-14)
+    # S + rho I indefinite: the pencil's pivot check refuses it
+    with pytest.raises(NotPositiveDefiniteError):
+        QuadraticCost(np.array([[1.0, 2.0], [2.0, 1.0]]), c).prox(z, 0.5)
 
 
 def test_l1_penalty():

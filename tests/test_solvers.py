@@ -15,7 +15,6 @@ from predcorr import (
     make_saddle_quadratic,
     make_two_block_quadratic,
     run,
-    solve_prediction_inclusion,
 )
 from predcorr.solvers import prepare_prediction
 
@@ -29,14 +28,14 @@ def test_inclusion_quadratic_path():
     c = np.array([1.0, -1.0])
     f = QuadraticCost(S, c)
     q = np.array([0.5, 0.5])
-    xb, xt = solve_prediction_inclusion(f, 2.0, q)
+    xb, xt = prepare_prediction(f, 2.0)(q, 1.0, None)
     assert xb is xt or np.allclose(xb, xt)
     # 0 = S x + W x + q - c
     np.testing.assert_allclose(S @ xt + 2.0 * xt + q - c, 0.0, atol=1e-13)
 
     # tau < 1 ties the two outputs through the anchor
     anchor = np.array([1.0, 2.0])
-    xb, xt = solve_prediction_inclusion(f, 2.0, q, tau=0.25, anchor=anchor)
+    xb, xt = prepare_prediction(f, 2.0)(q, 0.25, anchor)
     np.testing.assert_allclose(xb, 0.25 * xt + 0.75 * anchor, rtol=1e-13)
     # defining inclusion: grad f at x_breve plus W x_tilde + q vanishes
     np.testing.assert_allclose(f.grad(xb) + 2.0 * xt + q, 0.0, atol=1e-12)
@@ -47,20 +46,20 @@ def test_inclusion_matrix_weight():
     f = QuadraticCost(S, np.zeros(2))
     W = np.array([[2.0, 0.5], [0.5, 2.0]])
     q = np.array([1.0, 0.0])
-    _, xt = solve_prediction_inclusion(f, W, q)
+    _, xt = prepare_prediction(f, W)(q, 1.0, None)
     np.testing.assert_allclose((S + W) @ xt, -q, atol=1e-13)
 
 
 def test_inclusion_prox_path():
     f = L1Penalty(0.5)
     q = np.array([-2.0, 0.1])
-    xb, xt = solve_prediction_inclusion(f, 1.0, q)
+    xb, xt = prepare_prediction(f, 1.0)(q, 1.0, None)
     # 0 in df(x) + x + q  =>  x = soft_threshold(-q, 0.5)
     np.testing.assert_allclose(xb, [1.5, 0.0])
     np.testing.assert_allclose(xt, xb)
 
     anchor = np.array([1.0, 1.0])
-    xb, xt = solve_prediction_inclusion(f, 1.0, q, tau=0.5, anchor=anchor)
+    xb, xt = prepare_prediction(f, 1.0)(q, 0.5, anchor)
     np.testing.assert_allclose(xb, 0.5 * xt + 0.5 * anchor, rtol=1e-13)
     # subgradient check at x_breve
     g = -(1.0 * xt + q)  # element of mu * sign(x_breve)
@@ -72,22 +71,17 @@ def test_inclusion_prox_path():
 
 
 def test_inclusion_validation():
+    # tau's range is checked where it enters, by run (test_run_rejects_bad_args)
     f = L1Penalty(0.5)
     q = np.zeros(2)
-    with pytest.raises(ValueError):
-        solve_prediction_inclusion(f, 1.0, q, tau=0.0)
-    with pytest.raises(ValueError):
-        solve_prediction_inclusion(f, 1.0, q, tau=1.5)
-    with pytest.raises(ValueError):
-        solve_prediction_inclusion(f, 1.0, q, tau=0.5)  # anchor missing
     with pytest.raises(SubproblemError):
-        solve_prediction_inclusion(f, 0.0, q)  # weight must be positive
+        prepare_prediction(f, 0.0)(q, 1.0, None)  # weight must be positive
     with pytest.raises(SubproblemError):
-        solve_prediction_inclusion(f, np.array([[1.0, 0.5], [0.5, 1.0]]), q)
+        prepare_prediction(f, np.array([[1.0, 0.5], [0.5, 1.0]]))(q, 1.0, None)
     with pytest.raises(SubproblemError):
         # indefinite quadratic subproblem
-        solve_prediction_inclusion(
-            QuadraticCost(np.zeros((1, 1)), np.zeros(1)), -1.0, np.zeros(1))
+        prepare_prediction(
+            QuadraticCost(np.zeros((1, 1)), np.zeros(1)), -1.0)(np.zeros(1), 1.0, None)
 
 
 def _pencil_case(kind):
