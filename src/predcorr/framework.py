@@ -7,8 +7,10 @@ Each family's predictor reads its blocks from v alone; faster mode carries
 one more state item, the previous accelerated point breve_prev.
 Before any run the scheme must pass the convergence condition, checked here
 as a certificate: H = Q M^{-1} symmetric positive definite and
-G = Q^T + Q - M^T H M positive definite. All rate guarantees measured by
-this package hold exactly under that certificate.
+G = Q^T + Q - M^T H M positive definite. certify forms G from M^T Q (equal,
+as H M = Q), and H from a closed-form M^{-1} where M's nonzero pattern
+allows it (every two-block and saddle scheme), else from a dense solve. All
+rate guarantees measured by this package hold exactly under that certificate.
 
 The run loop supports two modes. Baseline mode alternates a family-specific
 prediction with the M-correction and reports metrics at the running average
@@ -64,7 +66,9 @@ class ConvergenceCertificate:
     """Positive-definiteness evidence for H = Q M^{-1} and G = Q^T+Q - M^T H M.
 
     h_min_pivot / g_min_pivot hold the smallest Cholesky pivot when the
-    check passed, or the first offending pivot value when it failed.
+    check passed, or the first offending pivot value when it failed. G comes
+    from M^T Q, so on saddle schemes g_min_pivot (also in summary.json) can
+    differ in its last digits from an M^T H M evaluation.
     """
 
     H: np.ndarray
@@ -74,21 +78,28 @@ class ConvergenceCertificate:
     satisfied: bool
 
 
-def _min_pivot(result) -> float:
-    if result.positive_definite:
-        d = np.diagonal(result.factor)
-        return float(np.min(d) ** 2) if d.size else 0.0
-    return float(result.pivot_value)
+def _verdict(result) -> tuple:
+    """(positive definite, smallest pivot or first offending pivot)."""
+    if not result.positive_definite:
+        return False, float(result.pivot_value)
+    d = np.diagonal(result.factor)
+    return True, float(np.min(d) ** 2) if d.size else 0.0
 
 
 def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     """Build the convergence certificate for a correction spec.
 
-    H is computed as Q M^{-1}; in exact arithmetic it is symmetric for every
-    scheme in this package, so asymmetry beyond 1e-8 relative signals a
-    construction error and raises rather than failing the condition. The
-    floating-point remainder is symmetrized away before the pivot checks,
-    which use the package's one threshold, linalg.PD_TOL.
+    With M = D + N, D = diag(M): if every d_i is nonzero and no index is both
+    a row and a column holding a nonzero of N (so every two-block and saddle
+    scheme), N D^-1 N = 0 and M^{-1} = D^-1 - D^-1 N D^-1. Any other M takes
+    a dense solve. G = Q^T + Q - M^T Q as H M = Q. H and G are built in
+    place, beside at most one dim x dim temporary.
+
+    H is symmetric in exact arithmetic for every scheme in this package, so
+    asymmetry beyond 1e-8 relative signals a construction error and raises
+    rather than failing the condition. The floating-point remainder is
+    symmetrized away before the pivot checks, which use the package's one
+    threshold, linalg.PD_TOL.
 
     Raises
     ------
@@ -97,22 +108,35 @@ def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     AsymmetryError
         If Q M^{-1} is asymmetric beyond tolerance.
     """
-    try:
-        h_raw = np.linalg.solve(spec.M.T, spec.Q.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularCorrectionError(f"correction matrix M is singular: {exc}") from exc
-    check_symmetric(h_raw, 1e-8, "Q M^-1")
-    H = 0.5 * (h_raw + h_raw.T)
-    G = spec.Q.T + spec.Q - spec.M.T @ H @ spec.M
-    G = 0.5 * (G + G.T)
-    h_res = cholesky_pd_check(H)
-    g_res = cholesky_pd_check(G)
-    return ConvergenceCertificate(
-        H=H, G=G,
-        h_min_pivot=_min_pivot(h_res),
-        g_min_pivot=_min_pivot(g_res),
-        satisfied=h_res.positive_definite and g_res.positive_definite,
-    )
+    Q, M = spec.Q, spec.M
+    d = M.diagonal()
+    nz = d != 0  # R, C: the rows and columns holding a nonzero of N
+    R, C = np.count_nonzero(M, axis=1) > nz, np.count_nonzero(M, axis=0) > nz
+    closed = nz.all() and not np.any(R & C)
+    if closed:
+        N, inv = M[np.ix_(R, C)], 1.0 / d
+        H = Q * inv
+        H[:, C] = (Q[:, C] - H[:, R] @ N) * inv[C]
+    else:
+        try:  # M^-T Q^T = H^T, C-ordered; symmetrizing it gives the same H
+            H = np.linalg.solve(M.T, Q.T)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCorrectionError(f"correction matrix M is singular: {exc}") from exc
+    check_symmetric(H, 1e-8, "Q M^-1")
+    H += H.T
+    H *= 0.5
+    h_ok, h_min_pivot = _verdict(cholesky_pd_check(H))
+    G = Q.T + Q
+    if closed:  # M^T Q = D Q + N^T Q
+        G -= d[:, None] * Q
+        G[C] -= N.T @ Q[R]
+    else:
+        G -= M.T @ Q
+    G += G.T
+    G *= 0.5
+    g_ok, g_min_pivot = _verdict(cholesky_pd_check(G))
+    return ConvergenceCertificate(H=H, G=G, h_min_pivot=h_min_pivot,
+                                  g_min_pivot=g_min_pivot, satisfied=h_ok and g_ok)
 
 
 def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,

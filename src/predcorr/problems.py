@@ -248,7 +248,8 @@ def make_multiblock_quadratic(seed: int, m: int, n_i, l: int, *,
 
     n_i is one block dimension (shared) or a sequence of length m. The
     stacked constraint matrix must have full row rank so the multiplier is
-    unique; degenerate draws are retried at most five times.
+    unique; degenerate draws, and draws whose KKT point fails the
+    feasibility check, are retried at most five times.
     """
     if m < 1:
         raise ValueError("need at least one block")
@@ -266,7 +267,10 @@ def make_multiblock_quadratic(seed: int, m: int, n_i, l: int, *,
             continue
         spec = MultiBlockSpec(tuple(QuadraticCost.distance_to(a) for a in anchors),
                               tuple(As), b, beta, alpha)
-        return _with_kkt_oracle(spec, seed)
+        try:
+            return _with_kkt_oracle(spec, seed)
+        except ValueError:  # an ill-conditioned draw whose oracle is refused
+            continue
     raise ValueError("no full-row-rank draw in 5 attempts; change seed or dims")
 
 

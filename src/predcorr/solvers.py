@@ -123,10 +123,13 @@ class TwoBlockSpec:
         _set_finite(self, "beta", "r", "s")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        gram2 = self.A2.T @ self.A2
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram1, gram2 = self.A1.T @ self.A1, self.A2.T @ self.A2
+        for name, gram in (("A1", gram1), ("A2", gram2)):
+            if not np.all(np.isfinite(gram)):
+                raise ValueError(f"{name}'{name} overflows; rescale {name}")
         if not cholesky_pd_check(gram2).positive_definite:
             raise ValueError("A2 must have full column rank")
-        gram1 = self.A1.T @ self.A1
         if self.P is None:
             a = 1.01 * self.beta * spectral_radius_gram(self.A1)
             P = a * np.eye(self.n1) - self.beta * gram1

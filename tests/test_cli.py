@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,44 @@ def test_malformed_input_exits_2(tmp_path, capsys, source, named):
     assert err.count("\n") == 1 and named in err
     assert "Traceback" not in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["A1", "A2"])
+def test_certify_huge_coupling_matrix_exits_2(tmp_path, capsys, block):
+    # the Gram product overflows: one line naming the matrix, no numpy warning
+    doc = instance_to_document(make_two_block_l1(0, 4, 0.5))
+    doc["A"][block] = (1e200 * np.array(doc["A"][block])).tolist()
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = call(capsys, "certify", "--instance", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"A{block + 1}'A{block + 1}" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma (pulled in by numpy's set routines) adds about 1.2 MB of RSS
+    script = """
+import sys
+from predcorr.cli import main
+for i, argv in enumerate(sys.argv[1:]):
+    assert main(["run", *argv.split(), "--budget", "3", "--out", f"o{i}"]) == 0
+    assert "numpy.ma" not in sys.modules, argv
+"""
+    runs = ["--generator two-block-l1 --param n=3 --param mu=0.5",
+            "--generator two-block-quadratic --param n1=3 --param n2=2 --param l=4",
+            "--generator multi-block-quadratic --param m=3 --param n_i=2 --param l=3",
+            "--generator saddle-quadratic --param n=3 --param m=2",
+            "--generator matrix-game --param A=[[1,2],[3,4]]"]
+    # the child imports the same predcorr as this process, installed or not
+    src = str(Path(predcorr.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script, *runs], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from predcorr import (
     UncertifiedSpecError,
     VariationalInstance,
     certify,
+    cholesky_pd_check,
     make_matrix_game,
     make_multiblock_quadratic,
     make_saddle_quadratic,
@@ -65,6 +67,112 @@ def test_certify_asymmetric_h():
 def test_correction_spec_validation():
     with pytest.raises(ValueError):
         CorrectionSpec(Q=np.eye(3), M=np.eye(2))
+
+
+def dense_certificate(Q, M):
+    # the definition: H = Q M^-1 by a dense solve, G = Q^T + Q - M^T H M
+    h = np.linalg.solve(M.T, Q.T).T
+    H = 0.5 * (h + h.T)
+    G = Q.T + Q - M.T @ H @ M
+    return H, cholesky_pd_check(H), cholesky_pd_check(0.5 * (G + G.T))
+
+
+def pivot_of(result):
+    if result.positive_definite:
+        return float(np.min(np.diagonal(result.factor)) ** 2)
+    return result.pivot_value
+
+
+def assert_matches_dense(spec):
+    cert = certify(spec)
+    H, h_ref, g_ref = dense_certificate(spec.Q, spec.M)
+    np.testing.assert_allclose(cert.H, H, rtol=0, atol=1e-12 * np.abs(H).max())
+    assert cert.h_min_pivot == pytest.approx(pivot_of(h_ref), rel=1e-12)
+    assert cert.g_min_pivot == pytest.approx(pivot_of(g_ref), rel=1e-12)
+    assert cert.satisfied == (h_ref.positive_definite and g_ref.positive_definite)
+    assert cholesky_pd_check(cert.H).pivot_index == h_ref.pivot_index
+    assert cholesky_pd_check(cert.G).pivot_index == g_ref.pivot_index
+    return cert
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 7),
+       shift=st.floats(-1.0, 3.0), density=st.floats(0.2, 1.0))
+def test_certify_closed_form_matches_dense(seed, dim, shift, density):
+    # M = D + N whose off-diagonal rows and columns are disjoint, D not the
+    # identity; Q = H0 M for a symmetric H0 whose shift makes some specs
+    # pass and some fail
+    rng = np.random.default_rng(seed)
+    role = rng.integers(0, 3, dim)  # 0: a row of N, 1: a column of N, 2: neither
+    mask = (role[:, None] == 0) & (role[None, :] == 1) & (rng.random((dim, dim)) < density)
+    M = np.diag(rng.choice([-1.0, 1.0], dim) * rng.uniform(0.5, 2.0, dim))
+    M[mask] = rng.normal(size=mask.sum())
+    B = rng.normal(size=(dim, dim))
+    H0 = B @ B.T / dim + shift * np.eye(dim)
+    assert_matches_dense(CorrectionSpec(Q=H0 @ M, M=M))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_two_block_quadratic(0, 4, 3, 5),
+    lambda: make_two_block_quadratic(1, 3, 2, 4, r=0.5, s=1.5),
+    lambda: make_two_block_l1(0, 5, 0.5),
+    lambda: make_saddle_quadratic(0, 5, 4),
+    lambda: make_saddle_quadratic(0, 5, 4, r=0.1, s=0.1),
+    lambda: make_matrix_game(np.array([[1.0, 2.0], [3.0, 4.0]])),
+], ids=["two-block", "two-block-fails", "l1", "saddle", "saddle-fails", "game"])
+def test_certify_shipped_closed_form_schemes(make, monkeypatch):
+    # every two-block and saddle scheme takes the closed form: no dense solve
+    calls = count_solves(monkeypatch)
+    spec = make().spec.correction_spec()
+    calls.clear()
+    assert_matches_dense(spec)
+    assert calls == [1]  # dense_certificate's own solve
+
+
+def test_certify_overlapping_pattern_takes_the_dense_path(monkeypatch):
+    # index 1 is both a row and a column of N; so is every multi-block M
+    M = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.5]])
+    H0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
+    multi = make_multiblock_quadratic(0, 3, 2, 3).spec.correction_spec()
+    calls = count_solves(monkeypatch)
+    for spec in (CorrectionSpec(Q=H0 @ M, M=M), multi):
+        calls.clear()
+        assert_matches_dense(spec)
+        assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("M", [[[0.0, 0.0], [1.0, 1.0]], [[2.0, 3.0], [0.0, 0.0]],
+                               [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [4.0, 0.0, 2.0]]])
+def test_certify_zero_diagonal_is_singular(M):
+    # with disjoint rows and columns a zero d_k leaves row or column k zero
+    with pytest.raises(SingularCorrectionError):
+        certify(CorrectionSpec(Q=np.eye(len(M)), M=np.array(M)))
+
+
+def test_certify_holds_few_dense_temporaries():
+    # H, G and at most one dim x dim temporary (plus the Cholesky factor of
+    # one of them) at any time; was 5 before G came from M^T Q
+    spec = make_two_block_l1(0, 200, 0.5).spec.correction_spec()
+    dim = spec.Q.shape[0]
+    tracemalloc.start()
+    try:
+        certify(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * dim * dim
 
 
 def test_run_baseline_trace_shape():

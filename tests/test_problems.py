@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,32 @@ def test_generator_determinism():
     np.testing.assert_array_equal(a.w_star.concat(), b.w_star.concat())
     c = make_two_block_quadratic(6, 2, 2, 3)
     assert not np.array_equal(a.spec.A1, c.spec.A1)
+
+
+def test_multiblock_redraws_when_the_oracle_is_refused():
+    # the first 3x3 draw of this seed is ill-conditioned (cond 2.2e3) and its
+    # KKT point misses the 1e-10 feasibility check; a later draw is used
+    inst = make_multiblock_quadratic(1860084314, 1, 3, 3)
+    assert inst.feasibility(inst.w_star) <= 1e-10
+    first = SplitMix64(1860084314).matrix(3, 3)
+    assert not np.array_equal(inst.spec.A_i[0], first)
+
+
+# sha256 of the instance document without w_star, from the first draw, at
+# the multiblock-small benchmark size; w_star is the KKT solve of that data
+MULTIBLOCK_BENCH_DATA = [
+    "52c0acc94e2145b7c097a20e87afbe9aa33f952600e3f6f9aa177755bd16ba9e",
+    "d505a307c94d9e9b0c1b0b75db978f35cd970283fdc32e98b352fd0daf4f7558",
+    "7846000894029dfe242e999fefbd1e21cdba2acdb06d9920f570e121246c9594",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_multiblock_first_draws_unchanged(seed):
+    doc = instance_to_document(make_multiblock_quadratic(seed, 8, 8, 16))
+    assert doc.pop("w_star") is not None
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == MULTIBLOCK_BENCH_DATA[seed]
 
 
 def test_generator_validation():
