@@ -162,8 +162,8 @@ def test_certify_zero_diagonal_is_singular(M):
 
 
 def test_certify_holds_few_dense_temporaries():
-    # H, G and at most one dim x dim temporary (plus the Cholesky factor of
-    # one of them) at any time; was 5 before G came from M^T Q
+    # beside the spec's Q and M: H, G and one Cholesky factor or one
+    # dim x dim temporary at a time
     spec = make_two_block_l1(0, 200, 0.5).spec.correction_spec()
     dim = spec.Q.shape[0]
     tracemalloc.start()
