@@ -7,10 +7,12 @@ Each family's predictor reads its blocks from v alone; faster mode carries
 one more state item, the previous accelerated point breve_prev.
 Before any run the scheme must pass the convergence condition, checked here
 as a certificate: H = Q M^{-1} symmetric positive definite and
-G = Q^T + Q - M^T H M positive definite. certify forms G from M^T Q (equal,
-as H M = Q), and H from a closed-form M^{-1} where M's nonzero pattern
-allows it (every two-block and saddle scheme), else from a dense solve. All
-rate guarantees measured by this package hold exactly under that certificate.
+G = Q^T + Q - M^T H M positive definite. certify checks it on each connected
+component of the nonzero pattern of (Q, M), factoring small stacked blocks
+in place of dim x dim matrices. It forms G from M^T Q (equal, as H M = Q),
+and H from a closed-form M^{-1} where M's nonzero pattern allows it (every
+two-block and saddle scheme), else from a dense solve. All rate guarantees
+measured by this package hold exactly under that certificate.
 
 The run loop supports two modes. Baseline mode alternates a family-specific
 prediction with the M-correction and reports metrics at the running average
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import as_matrix, check_symmetric, cholesky_pd_check
+from .linalg import (PD_TOL, AsymmetryError, _checked, _cholesky_stack, _component_stacks,
+                     as_matrix)
 from .schedule import DEFAULT_TAU_INIT, _check_unit_interval, tau_next
 from .trace import IterationTrace, TraceRecord
 
@@ -65,10 +68,14 @@ class CorrectionSpec:
 class ConvergenceCertificate:
     """Positive-definiteness evidence for H = Q M^{-1} and G = Q^T+Q - M^T H M.
 
-    h_min_pivot / g_min_pivot hold the smallest Cholesky pivot when the
-    check passed, or the first offending pivot value when it failed. G comes
-    from M^T Q, so on saddle schemes g_min_pivot (also in summary.json) can
-    differ in its last digits from an M^T H M evaluation.
+    H and G are dense, and zero between different connected components of
+    (Q, M). h_min_pivot / g_min_pivot hold the smallest Cholesky pivot when
+    the check passed, or, when it failed, the offending pivot with the
+    smallest index, the one a whole-matrix pivot loop reports. Pivots come
+    from each component's own factorization, so they can differ in their
+    last digits from a whole-matrix factorization's. G comes from M^T Q, so
+    on saddle schemes g_min_pivot (also in summary.json) can also differ in
+    its last digits from an M^T H M evaluation.
     """
 
     H: np.ndarray
@@ -78,28 +85,96 @@ class ConvergenceCertificate:
     satisfied: bool
 
 
-def _verdict(result) -> tuple:
-    """(positive definite, smallest pivot or first offending pivot)."""
-    if not result.positive_definite:
-        return False, float(result.pivot_value)
-    d = np.diagonal(result.factor)
-    return True, float(np.min(d) ** 2) if d.size else 0.0
+def _closed_form(M: np.ndarray):
+    """(d, N, R, C) when the stack M = D + N has M^-1 = D^-1 - D^-1 N D^-1, else None.
+
+    That holds when every d_i is nonzero and no position is both a row (R)
+    and a column (C) holding a nonzero of some block's N, so N D^-1 N = 0:
+    every two-block and saddle scheme. N is the R x C part of each block.
+    """
+    d = M.diagonal(axis1=1, axis2=2)
+    nz = d != 0
+    R = (np.count_nonzero(M, axis=2) > nz).any(axis=0)
+    C = (np.count_nonzero(M, axis=1) > nz).any(axis=0)
+    if not nz.all() or np.any(R & C):
+        return None
+    return d, M[:, R][:, :, C], R, C
+
+
+def _h_blocks(Q: np.ndarray, M: np.ndarray, form) -> np.ndarray:
+    """Q M^{-1} of a stack of blocks, before symmetrizing."""
+    if form is None:
+        try:  # M^-T Q^T = H^T, C-ordered; symmetrizing it gives the same H
+            return np.linalg.solve(M.transpose(0, 2, 1), Q.transpose(0, 2, 1))
+        except np.linalg.LinAlgError as exc:
+            raise SingularCorrectionError(f"correction matrix M is singular: {exc}") from exc
+    d, N, R, C = form
+    inv = 1.0 / d[:, None, :]
+    H = Q * inv
+    H[:, :, C] = (Q[:, :, C] - H[:, :, R] @ N) * inv[:, :, C]
+    return H
+
+
+def _g_blocks(Q: np.ndarray, M: np.ndarray, form) -> np.ndarray:
+    """Q^T + Q - M^T Q of a stack of blocks, before symmetrizing."""
+    G = Q.transpose(0, 2, 1) + Q
+    if form is None:
+        G -= M.transpose(0, 2, 1) @ Q
+    else:  # M^T Q = D Q + N^T Q
+        d, N, R, C = form
+        G -= d[:, :, None] * Q
+        G[:, C] -= N.transpose(0, 2, 1) @ Q[:, R]
+    return G
+
+
+def _symmetrized(S: np.ndarray, name: str) -> np.ndarray:
+    """(S + S^T) / 2 in place for a stack S, then its one finiteness pass."""
+    S += S.transpose(0, 2, 1)
+    S *= 0.5
+    return _checked(S, 3, name)
+
+
+def _verdict(stacks: list, blocks: list) -> tuple:
+    """(positive definite, smallest pivot or first offending pivot).
+
+    blocks[i] holds the symmetric blocks on the components stacks[i]; the
+    threshold and the pivot order are those of the whole matrix they form.
+    """
+    top = max((float(S.diagonal(axis1=1, axis2=2).max()) for S in blocks), default=0.0)
+    threshold = PD_TOL * (1.0 + top)
+    low, bad = (np.inf if blocks else 0.0), (np.inf, 0.0)  # bad: (index, pivot)
+    for idx, S in zip(stacks, blocks):
+        L, first, value = _cholesky_stack(S, threshold)
+        fail = first >= 0
+        if fail.any():
+            at = idx[fail, first[fail]]
+            bad = min(bad, (at.min(), value[fail][at.argmin()]))
+        else:
+            low = min(low, float(np.diagonal(L, axis1=1, axis2=2).min()))
+    if bad[0] < np.inf:
+        return False, float(bad[1])
+    return True, low ** 2
 
 
 def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     """Build the convergence certificate for a correction spec.
 
-    With M = D + N, D = diag(M): if every d_i is nonzero and no index is both
-    a row and a column holding a nonzero of N (so every two-block and saddle
-    scheme), N D^-1 N = 0 and M^{-1} = D^-1 - D^-1 N D^-1. Any other M takes
-    a dense solve. G = Q^T + Q - M^T Q as H M = Q. H and G are built in
-    place, beside at most one dim x dim temporary.
+    The nonzero pattern of |Q| + |M| splits the indices into connected
+    components, and components of one size are gathered into one stack of
+    small blocks. Each stack yields its blocks of H = Q M^{-1}, in closed
+    form where the stack's pattern allows it (see _closed_form) and by a
+    stacked dense solve otherwise, and of G = Q^T + Q - M^T Q (as H M = Q).
+    A block-diagonal matrix factors as its blocks do, so stacked Cholesky
+    factorizations, held to the whole matrix's threshold, decide both
+    conditions; a failure reports the offending pivot with the smallest
+    index. A spec of one component is one stack of one block, Q and M
+    themselves. The blocks are scattered into dense H and G at the end.
 
     H is symmetric in exact arithmetic for every scheme in this package, so
-    asymmetry beyond 1e-8 relative signals a construction error and raises
-    rather than failing the condition. The floating-point remainder is
-    symmetrized away before the pivot checks, which use the package's one
-    threshold, linalg.PD_TOL.
+    asymmetry beyond 1e-8 relative to the largest entry of Q M^{-1} signals
+    a construction error and raises rather than failing the condition. The
+    floating-point remainder is symmetrized away before the pivot checks,
+    which use the package's one threshold, linalg.PD_TOL.
 
     Raises
     ------
@@ -107,34 +182,36 @@ def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
         If M is singular.
     AsymmetryError
         If Q M^{-1} is asymmetric beyond tolerance.
+    ValueError
+        If H or G has a non-finite entry.
     """
     Q, M = spec.Q, spec.M
-    d = M.diagonal()
-    nz = d != 0  # R, C: the rows and columns holding a nonzero of N
-    R, C = np.count_nonzero(M, axis=1) > nz, np.count_nonzero(M, axis=0) > nz
-    closed = nz.all() and not np.any(R & C)
-    if closed:
-        N, inv = M[np.ix_(R, C)], 1.0 / d
-        H = Q * inv
-        H[:, C] = (Q[:, C] - H[:, R] @ N) * inv[C]
+    stacks = _component_stacks(Q, M)
+    whole = len(stacks) == 1 and len(stacks[0]) == 1  # in the identity order
+    if whole:  # no copies
+        parts = [(Q[None], M[None])]
     else:
-        try:  # M^-T Q^T = H^T, C-ordered; symmetrizing it gives the same H
-            H = np.linalg.solve(M.T, Q.T)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCorrectionError(f"correction matrix M is singular: {exc}") from exc
-    check_symmetric(H, 1e-8, "Q M^-1")
-    H += H.T
-    H *= 0.5
-    h_ok, h_min_pivot = _verdict(cholesky_pd_check(H))
-    G = Q.T + Q
-    if closed:  # M^T Q = D Q + N^T Q
-        G -= d[:, None] * Q
-        G[C] -= N.T @ Q[R]
+        ix = [(idx[:, :, None], idx[:, None, :]) for idx in stacks]
+        parts = [(Q[i], M[i]) for i in ix]
+    forms = [_closed_form(Mb) for _, Mb in parts]
+    Hs = [_h_blocks(Qb, Mb, form) for (Qb, Mb), form in zip(parts, forms)]
+    # over the whole of Q M^-1; H - H^T is antisymmetric, so its max is max |H - H^T|
+    top = max((float(np.abs(H).max()) for H in Hs), default=0.0)
+    asym = max((float((H - H.transpose(0, 2, 1)).max()) for H in Hs), default=0.0)
+    if asym > 1e-8 * (1.0 + top):
+        raise AsymmetryError(
+            f"Q M^-1 asymmetry {asym:.3e} exceeds tolerance {1e-8 * (1.0 + top):.3e}")
+    Hs = [_symmetrized(H, "H") for H in Hs]
+    h_ok, h_min_pivot = _verdict(stacks, Hs)
+    Gs = [_symmetrized(_g_blocks(Qb, Mb, form), "G")
+          for (Qb, Mb), form in zip(parts, forms)]
+    g_ok, g_min_pivot = _verdict(stacks, Gs)
+    if whole:
+        H, G = Hs[0][0], Gs[0][0]
     else:
-        G -= M.T @ Q
-    G += G.T
-    G *= 0.5
-    g_ok, g_min_pivot = _verdict(cholesky_pd_check(G))
+        H, G = np.zeros_like(Q), np.zeros_like(Q)
+        for i, Hb, Gb in zip(ix, Hs, Gs):
+            H[i], G[i] = Hb, Gb
     return ConvergenceCertificate(H=H, G=G, h_min_pivot=h_min_pivot,
                                   g_min_pivot=g_min_pivot, satisfied=h_ok and g_ok)
 

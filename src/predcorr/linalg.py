@@ -5,8 +5,11 @@ the operations here: a pivot-reporting Cholesky positive-definiteness check,
 the dominant eigenvalue of a Gram matrix, and the SPD pencil tau*S + W that
 every SPD system in the package is solved through, prepared once so that
 each solve costs two matrix-vector products. Matrices and vectors are plain
-numpy arrays validated on entry; problems at the intended scale are small
-and dense, so there is no sparse path.
+numpy arrays validated on entry. Sparsity is used in one way only: a matrix
+that falls apart into connected components of its nonzero pattern is
+factored as a few stacks of small blocks, one stack per component size
+(_component_stacks, _cholesky_stack), since a block-diagonal matrix factors
+as its blocks do.
 
 Positive definiteness is always decided by Cholesky pivots with the one
 relative tolerance PD_TOL, never by eigensolvers: the pivot sequence is
@@ -116,25 +119,93 @@ def cholesky_pd_check(S) -> PDResult:
     """
     S = _checked(S, 2, "S")
     check_symmetric(S, PD_TOL, "S")
-    n = S.shape[0]
-    if n == 0:
+    if S.shape[0] == 0:
         return PDResult(True, np.zeros((0, 0)), None, None)
-    threshold = PD_TOL * (1.0 + float(S.diagonal().max()))
+    L, first, value = _cholesky_stack(S[None], PD_TOL * (1.0 + float(S.diagonal().max())))
+    if first[0] >= 0:
+        return PDResult(False, None, int(first[0]), float(value[0]))
+    return PDResult(True, L[0], None, None)
+
+
+def _cholesky_stack(S: np.ndarray, threshold: float) -> tuple:
+    """Cholesky pivots of a stack S of shape (k, n, n), n >= 1, of symmetric blocks.
+
+    Returns (L, first, value), one entry per block. first is -1 where every
+    pivot exceeds threshold, and L holds that block's factor; otherwise first
+    is the index of the block's first pivot at or below threshold and value
+    that pivot. LAPACK factors the stack; the pivot loop reruns only the
+    blocks whose factor does not clear threshold. S is trusted: finite,
+    symmetric, never copied or changed.
+    """
     try:
         L = np.linalg.cholesky(S)
-        if float(L.diagonal().min()) ** 2 > threshold:
-            return PDResult(True, L, None, None)
     except np.linalg.LinAlgError:
-        pass
+        L = np.full_like(S, np.nan)  # NaN never clears the threshold
+        if len(S) > 1:  # LAPACK's error names no block: factor each on its own
+            for b, block in enumerate(S):
+                try:
+                    L[b] = np.linalg.cholesky(block)
+                except np.linalg.LinAlgError:
+                    pass
+    first, value = np.full(len(S), -1), np.zeros(len(S))
+    low = np.diagonal(L, axis1=1, axis2=2).min(axis=1)
+    for b in np.flatnonzero(~(low ** 2 > threshold)):
+        L[b], first[b], value[b] = _pivot_loop(S[b], threshold)
+    return L, first, value
+
+
+def _pivot_loop(S: np.ndarray, threshold: float) -> tuple:
+    """(L, first offending index or -1, its pivot) of one block, pivot by pivot."""
+    n = S.shape[0]
     L = np.zeros_like(S)
     for j in range(n):
         pivot = S[j, j] - L[j, :j] @ L[j, :j]
         if pivot <= threshold:
-            return PDResult(False, None, j, float(pivot))
+            return L, j, float(pivot)
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:
             L[j + 1:, j] = (S[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return PDResult(True, L, None, None)
+    return L, -1, 0.0
+
+
+def _component_stacks(*mats: np.ndarray) -> list:
+    """The connected components of square matrices' joint nonzero pattern, by size.
+
+    Indices i and j are joined when some matrix is nonzero at (i, j) or
+    (j, i). Returns one (k, s) index array per component size s, sizes
+    ascending: each row is one component, its indices ascending, and rows
+    are ordered by their smallest index. When index 0 reaches every index
+    along rows alone, it returns after reading only the rows it passed.
+    """
+    n = mats[0].shape[0]
+    if n == 0:
+        return []
+    reached = frontier = np.logical_or.reduce([A[0] != 0 for A in mats])
+    while frontier.any() and not reached.all():  # breadth-first along rows
+        step = np.logical_or.reduce([(A[frontier] != 0).any(axis=0) for A in mats])
+        frontier = step & ~reached
+        reached = reached | frontier
+    if reached.all():
+        return [np.arange(n)[None]]
+    P = mats[0] != 0
+    for A in mats[1:]:
+        P |= A != 0
+    rows, cols = np.divmod(np.flatnonzero(P), n)
+    labels = np.arange(n)  # labels[i] <= i is an index in i's component
+    while True:  # each index takes its neighbours' smallest label, then jumps
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    # labels is now the smallest index of each component
+    size = np.bincount(labels, minlength=n)[labels]
+    order = np.lexsort((labels, size))  # stable: indices ascend within a component
+    size = size[order]
+    cuts = np.flatnonzero(size[1:] != size[:-1]) + 1
+    return [g.reshape(-1, size[c]) for g, c in zip(np.split(order, cuts), np.r_[0, cuts])]
 
 
 class SPDPencil:

@@ -156,19 +156,29 @@ def test_certify_huge_coupling_matrix_exits_2(tmp_path, capsys, block):
 
 
 def test_run_leaves_numpy_ma_unimported(tmp_path):
-    # numpy.ma (pulled in by numpy's set routines) adds about 1.2 MB of RSS
+    # numpy.ma (pulled in by numpy's set routines) adds about 1.2 MB of RSS;
+    # neither a CLI command nor a library certify of many components loads it
     script = """
 import sys
+from predcorr import certify, make_multiblock_quadratic, make_two_block_l1
 from predcorr.cli import main
 for i, argv in enumerate(sys.argv[1:]):
-    assert main(["run", *argv.split(), "--budget", "3", "--out", f"o{i}"]) == 0
+    command, *rest = argv.split()
+    if command != "certify":
+        rest += ["--budget", "3", "--out", f"o{i}"]
+    assert main([command, *rest]) == 0, argv
     assert "numpy.ma" not in sys.modules, argv
+for inst in (make_two_block_l1(0, 50, 0.5), make_multiblock_quadratic(0, 4, 3, 5)):
+    assert certify(inst.spec.correction_spec()).satisfied
+assert "numpy.ma" not in sys.modules, "library certify"
 """
-    runs = ["--generator two-block-l1 --param n=3 --param mu=0.5",
-            "--generator two-block-quadratic --param n1=3 --param n2=2 --param l=4",
-            "--generator multi-block-quadratic --param m=3 --param n_i=2 --param l=3",
-            "--generator saddle-quadratic --param n=3 --param m=2",
-            "--generator matrix-game --param A=[[1,2],[3,4]]"]
+    generators = ["--generator two-block-l1 --param n=3 --param mu=0.5",
+                  "--generator two-block-quadratic --param n1=3 --param n2=2 --param l=4",
+                  "--generator multi-block-quadratic --param m=3 --param n_i=2 --param l=3",
+                  "--generator saddle-quadratic --param n=3 --param m=2",
+                  "--generator matrix-game --param A=[[1,2],[3,4]]"]
+    runs = [f"{command} {g}" for command in ("run", "certify") for g in generators]
+    runs += [f"compare {g}" for g in generators[:3]]
     # the child imports the same predcorr as this process, installed or not
     src = str(Path(predcorr.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -161,10 +161,98 @@ def test_certify_zero_diagonal_is_singular(M):
         certify(CorrectionSpec(Q=np.eye(len(M)), M=np.array(M)))
 
 
-def test_certify_holds_few_dense_temporaries():
+def _connected_block(rng, size, closed):
+    # an M block and a symmetric H0 block with dense Q = H0 M; closed blocks
+    # are D + N with disjoint off-diagonal rows and columns, the rest dense
+    if closed:
+        role = rng.integers(0, 3, size)
+        mask = (role[:, None] == 0) & (role[None, :] == 1)
+        M = np.diag(rng.uniform(0.5, 1.5, size))
+        M[mask] = 0.3 * rng.normal(size=mask.sum())
+    else:
+        M = np.eye(size) + 0.3 * rng.normal(size=(size, size))
+    B = rng.normal(size=(size, size))
+    return M, B @ B.T / size
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(-1.0, 3.0),
+       groups=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 2)),
+                       min_size=1, max_size=3))
+def test_certify_split_matches_dense(seed, shift, groups):
+    # (Q, M) block diagonal under a random permutation: 1-6 components of
+    # sizes 1-5, sizes repeated so that components stack, closed-form and
+    # dense M blocks mixed; the shift makes some specs pass and some fail
+    # at H or at G
+    rng = np.random.default_rng(seed)
+    sizes = [size for size, repeat in groups for _ in range(repeat)]
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    Q, M = np.zeros((dim, dim)), np.zeros((dim, dim))
+    start = 0
+    for size in sizes:
+        idx = np.ix_(perm[start:start + size], perm[start:start + size])
+        M[idx], H0 = _connected_block(rng, size, rng.random() < 0.5)
+        Q[idx] = (H0 + shift * np.eye(size)) @ M[idx]
+        start += size
+    assume(np.linalg.cond(M) < 1e8)
+    assert_matches_dense(CorrectionSpec(Q=Q, M=M))
+
+
+def _ldl(d):
+    # L diag(d) L^T for a unit lower-triangular L without zeros: one
+    # component whose Cholesky pivots are d
+    n = len(d)
+    L = np.eye(n) + np.tril(np.full((n, n), 0.5), -1)
+    return L @ np.diag(d) @ L.T
+
+
+@pytest.mark.parametrize("a_idx, b_idx, b_pivots, want", [
+    ([0, 1, 2], [3, 4, 5], [-2.0, 1.0, 1.0], -0.5),
+    ([0, 2, 3], [1, 4, 5], [1.0, -2.0, 1.0], -0.5),
+    ([0, 3, 4], [1, 2, 5], [1.0, -2.0, 1.0], -2.0),
+], ids=["apart-a-first", "interleaved-a-first", "interleaved-b-first"])
+def test_certify_reports_the_smallest_global_failing_index(a_idx, b_idx, b_pivots, want):
+    # M = I, so H = G = Q. Component A fails at its local pivot 2, B at a
+    # smaller local pivot; the whole-matrix loop meets first the failing
+    # pivot with the smaller global index, and so must certify
+    Q = np.zeros((6, 6))
+    Q[np.ix_(a_idx, a_idx)] = _ldl([1.0, 2.0, -0.5])
+    Q[np.ix_(b_idx, b_idx)] = _ldl(b_pivots)
+    cert = assert_matches_dense(CorrectionSpec(Q=Q, M=np.eye(6)))
+    assert not cert.satisfied
+    assert cert.h_min_pivot == pytest.approx(want, rel=1e-12)
+    assert cert.g_min_pivot == pytest.approx(want, rel=1e-12)
+
+
+def test_certify_singular_component_raises():
+    # M's second component [[1, 2], [2, 4]] is singular; the first is not
+    M = np.zeros((4, 4))
+    M[:2, :2] = [[2.0, 0.5], [0.0, 1.0]]
+    M[2:, 2:] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(SingularCorrectionError):
+        certify(CorrectionSpec(Q=np.eye(4) + np.eye(4, k=1) * [1, 0, 1, 0], M=M))
+
+
+def test_certify_asymmetric_component_raises():
+    # M = I so H = Q: one symmetric component and one asymmetric one
+    Q = np.zeros((4, 4))
+    Q[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    Q[2:, 2:] = [[1.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(AsymmetryError):
+        certify(CorrectionSpec(Q=Q, M=np.eye(4)))
+
+
+@pytest.mark.parametrize("make, bound", [
+    (lambda: make_saddle_quadratic(0, 120, 90), 4),
+    (lambda: make_multiblock_quadratic(0, 8, 8, 16), 4),
+    (lambda: make_two_block_l1(0, 200, 0.5), 2.5),
+], ids=["one-component", "dense-blocks", "many-components"])
+def test_certify_holds_few_dense_temporaries(make, bound):
     # beside the spec's Q and M: H, G and one Cholesky factor or one
-    # dim x dim temporary at a time
-    spec = make_two_block_l1(0, 200, 0.5).spec.correction_spec()
+    # dim x dim temporary at a time; split into many small components, only
+    # the dense H and G the blocks are scattered into
+    spec = make().spec.correction_spec()
     dim = spec.Q.shape[0]
     tracemalloc.start()
     try:
@@ -172,7 +260,7 @@ def test_certify_holds_few_dense_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * dim * dim
+    assert peak < bound * 8 * dim * dim
 
 
 def test_run_baseline_trace_shape():
@@ -339,22 +427,26 @@ def _small_instance(family, seed, n, m):
                                     "multi-block-quadratic", "saddle-quadratic",
                                     "matrix-game"])
 def test_run_factors_nothing_in_the_loop(family, monkeypatch):
-    # the subproblems are prepared when the spec is built; a run's only PD
-    # checks are certify's two (H and G)
-    from predcorr import framework, linalg, problems, solvers
+    # the subproblems are prepared when the spec is built; every PD check
+    # (certify's stacks and each cholesky_pd_check) runs _cholesky_stack, and
+    # a run's only ones are certify's, as many at budget 20 as at budget 0
+    from predcorr import framework, linalg
     inst = _small_instance(family, 0, 3, 2)
     calls = []
-    check = linalg.cholesky_pd_check
+    check = linalg._cholesky_stack
 
     def counted(*args, **kwargs):
         calls.append(1)
         return check(*args, **kwargs)
 
-    for module in (framework, linalg, problems, solvers):
-        monkeypatch.setattr(module, "cholesky_pd_check", counted)
+    for module in (framework, linalg):
+        monkeypatch.setattr(module, "_cholesky_stack", counted)
+    run(inst, "faster", 0)
+    at_budget_0 = len(calls)
+    calls.clear()
     trace = run(inst, "faster", 20)
     assert trace.failure is None and len(trace.records) == 20
-    assert len(calls) == 2
+    assert at_budget_0 >= 2 and len(calls) == at_budget_0
 
 
 @pytest.mark.parametrize("mode", ["baseline", "faster"])
