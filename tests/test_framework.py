@@ -243,24 +243,23 @@ def test_certify_asymmetric_component_raises():
         certify(CorrectionSpec(Q=Q, M=np.eye(4)))
 
 
-@pytest.mark.parametrize("make, bound", [
-    (lambda: make_saddle_quadratic(0, 120, 90), 4),
-    (lambda: make_multiblock_quadratic(0, 8, 8, 16), 4),
-    (lambda: make_two_block_l1(0, 200, 0.5), 2.5),
-], ids=["one-component", "dense-blocks", "many-components"])
-def test_certify_holds_few_dense_temporaries(make, bound):
+def test_certify_holds_few_dense_temporaries():
     # beside the spec's Q and M: H, G and one Cholesky factor or one
     # dim x dim temporary at a time; split into many small components, only
     # the dense H and G the blocks are scattered into
-    spec = make().spec.correction_spec()
-    dim = spec.Q.shape[0]
-    tracemalloc.start()
-    try:
-        certify(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound * 8 * dim * dim
+    for name, inst, bound in (
+            ("one component", make_saddle_quadratic(0, 120, 90), 4),
+            ("dense-solve stacks", make_multiblock_quadratic(0, 8, 8, 16), 4),
+            ("many components", make_two_block_l1(0, 200, 0.5), 2.5)):
+        spec = inst.spec.correction_spec()
+        dim = spec.Q.shape[0]
+        tracemalloc.start()
+        try:
+            certify(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * dim * dim, name
 
 
 def test_run_baseline_trace_shape():
