@@ -152,6 +152,8 @@ def summarize_trace(trace: IterationTrace, runtime: float) -> dict:
         "mode": trace.mode,
         "budget": trace.budget,
         "tau_init": trace.tau_init,
+        "measured_at": ("ergodic_average" if trace.mode == "baseline"
+                        else "accelerated_iterate"),
         "certificate": {
             "h_min_pivot": trace.certificate.h_min_pivot,
             "g_min_pivot": trace.certificate.g_min_pivot,

@@ -11,8 +11,10 @@ G = Q^T + Q - M^T H M positive definite. certify checks it on each connected
 component of the nonzero pattern of (Q, M), factoring small stacked blocks
 in place of dim x dim matrices. It forms G from M^T Q (equal, as H M = Q),
 and H from a closed-form M^{-1} where M's nonzero pattern allows it (every
-two-block and saddle scheme), else from a dense solve. All rate guarantees
-measured by this package hold exactly under that certificate.
+two-block and saddle scheme), else from a dense solve. H and G stay in
+that block form, and the run loop applies H and M on the same components.
+All rate guarantees measured by this package hold exactly under that
+certificate.
 
 The run loop supports two modes. Baseline mode alternates a family-specific
 prediction with the M-correction and reports metrics at the running average
@@ -24,13 +26,14 @@ squared successive-difference residual decays like 1/t^2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import (PD_TOL, AsymmetryError, _checked, _cholesky_stack, _component_stacks,
-                     as_matrix)
+from .linalg import (PD_TOL, AsymmetryError, _BlockDiagonal, _checked, _cholesky_stack,
+                     _component_stacks, _gather, as_matrix)
 from .schedule import DEFAULT_TAU_INIT, _check_unit_interval, tau_next
 from .trace import IterationTrace, TraceRecord
 
@@ -45,6 +48,24 @@ class UncertifiedSpecError(RuntimeError):
 
 class SubproblemError(RuntimeError):
     """A prediction subproblem could not be solved in closed form."""
+
+
+class _ComponentFailure(Exception):
+    """A spec's predict or a ProxOp raised inside the run loop; str is the failure."""
+
+
+def _component(where: str, k: int, call, *args):
+    """call(*args) for plug-in code: its exception ends the run as _ComponentFailure.
+
+    SubproblemError and FloatingPointError pass through to keep their own
+    outcomes (the subproblem's reason, divergence).
+    """
+    try:
+        return call(*args)
+    except (SubproblemError, FloatingPointError):
+        raise
+    except Exception as exc:  # the plug-in boundary: any failure there ends the run
+        raise _ComponentFailure(f"{type(exc).__name__} in {where} at k={k}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -68,8 +89,9 @@ class CorrectionSpec:
 class ConvergenceCertificate:
     """Positive-definiteness evidence for H = Q M^{-1} and G = Q^T+Q - M^T H M.
 
-    H and G are dense, and zero between different connected components of
-    (Q, M). h_min_pivot / g_min_pivot hold the smallest Cholesky pivot when
+    H and G are zero between different connected components of (Q, M) and
+    are held as linalg._BlockDiagonal operators on those components: H @ x
+    applies one, and H.dense() gives the dim x dim array. h_min_pivot / g_min_pivot hold the smallest Cholesky pivot when
     the check passed, or, when it failed, the offending pivot with the
     smallest index, the one a whole-matrix pivot loop reports. Pivots come
     from each component's own factorization, so they can differ in their
@@ -78,8 +100,8 @@ class ConvergenceCertificate:
     its last digits from an M^T H M evaluation.
     """
 
-    H: np.ndarray
-    G: np.ndarray
+    H: _BlockDiagonal
+    G: _BlockDiagonal
     h_min_pivot: float
     g_min_pivot: float
     satisfied: bool
@@ -168,7 +190,10 @@ def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     factorizations, held to the whole matrix's threshold, decide both
     conditions; a failure reports the offending pivot with the smallest
     index. A spec of one component is one stack of one block, Q and M
-    themselves. The blocks are scattered into dense H and G at the end.
+    themselves. H and G are returned as operators on the stacks of blocks
+    (linalg._BlockDiagonal: op @ x, op.dense()), with no dim x dim array
+    unless the spec has one component or a dimension up to
+    linalg._DENSE_DIM.
 
     H is symmetric in exact arithmetic for every scheme in this package, so
     asymmetry beyond 1e-8 relative to the largest entry of Q M^{-1} signals
@@ -185,14 +210,8 @@ def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     ValueError
         If H or G has a non-finite entry.
     """
-    Q, M = spec.Q, spec.M
-    stacks = _component_stacks(Q, M)
-    whole = len(stacks) == 1 and len(stacks[0]) == 1  # in the identity order
-    if whole:  # no copies
-        parts = [(Q[None], M[None])]
-    else:
-        ix = [(idx[:, :, None], idx[:, None, :]) for idx in stacks]
-        parts = [(Q[i], M[i]) for i in ix]
+    stacks = _component_stacks(spec.Q, spec.M)
+    parts = list(zip(_gather(stacks, spec.Q), _gather(stacks, spec.M)))
     forms = [_closed_form(Mb) for _, Mb in parts]
     Hs = [_h_blocks(Qb, Mb, form) for (Qb, Mb), form in zip(parts, forms)]
     # over the whole of Q M^-1; H - H^T is antisymmetric, so its max is max |H - H^T|
@@ -206,13 +225,8 @@ def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     Gs = [_symmetrized(_g_blocks(Qb, Mb, form), "G")
           for (Qb, Mb), form in zip(parts, forms)]
     g_ok, g_min_pivot = _verdict(stacks, Gs)
-    if whole:
-        H, G = Hs[0][0], Gs[0][0]
-    else:
-        H, G = np.zeros_like(Q), np.zeros_like(Q)
-        for i, Hb, Gb in zip(ix, Hs, Gs):
-            H[i], G[i] = Hb, Gb
-    return ConvergenceCertificate(H=H, G=G, h_min_pivot=h_min_pivot,
+    return ConvergenceCertificate(H=_BlockDiagonal(stacks, Hs), G=_BlockDiagonal(stacks, Gs),
+                                  h_min_pivot=h_min_pivot,
                                   g_min_pivot=g_min_pivot, satisfied=h_ok and g_ok)
 
 
@@ -247,9 +261,13 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
     -------
     IterationTrace
         Records evaluated at the mode's theorem point, plus final state. A
-        subproblem that cannot be solved, or an overflow or invalid value
-        (divergence, reported as "diverged at k=..."), ends the run early
-        with ``failure`` set and the records before it kept.
+        subproblem that cannot be solved, an overflow or invalid value
+        (divergence, reported as "diverged at k=..."), an exception raised
+        by the spec's predict or by an objective's prox or value (reported
+        as "<Type> in predict at k=...: <message>", or "in objective"), or
+        an inf or NaN in the corrected state or the objective ("non-finite
+        value at k=...") ends the run early with ``failure`` set and the
+        records before it kept.
     """
     if mode not in ("baseline", "faster"):
         raise ValueError(f"mode must be 'baseline' or 'faster', got {mode!r}")
@@ -271,7 +289,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
     if not w_start.same_structure(zero):
         raise ValueError("w0 does not match the spec's block structure")
     v = spec.image(w_start)
-    H, M = cert.H, cspec.M
+    H, M = cert.H, cert.H.gather(cspec.M)  # both on the certificate's components
 
     has_oracle = getattr(instance, "w_star", None) is not None
     v_star = spec.image(instance.w_star) if has_oracle else None
@@ -295,7 +313,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
             try:
                 if faster:
                     tau_k = tau_next(tau_k)
-                w_breve, w_tilde = spec.predict(v, breve_prev, tau_k)
+                w_breve, w_tilde = _component("predict", k, spec.predict, v, breve_prev, tau_k)
                 v_tilde = spec.image(w_tilde)
                 if faster:
                     measured = w_breve
@@ -309,9 +327,14 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
                 residual = float(m_diff @ (H @ m_diff))
                 breve_prev = w_breve
                 # baseline's residual product is its correction step
-                v = v - (M @ (v - v_tilde) if faster else m_diff)
-
-                theta = instance.objective(measured)
+                v_next = v - (M @ (v - v_tilde) if faster else m_diff)
+                theta = _component("objective", k, instance.objective, measured)
+                # a custom component can hand back inf or NaN without any
+                # floating-point operation raising
+                if not (np.isfinite(v_next).all() and math.isfinite(theta)):
+                    trace.failure = f"non-finite value at k={k}"
+                    break
+                v = v_next
                 if has_oracle:
                     gap = instance._gap_to_star(measured, theta)
                     v_err = v - v_star
@@ -327,6 +350,9 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
                 break
             except FloatingPointError as exc:
                 trace.failure = f"diverged at k={k}: {exc}"
+                break
+            except _ComponentFailure as exc:
+                trace.failure = str(exc)
                 break
             trace.records.append(record)
             if residual_floor is not None and residual < residual_floor:

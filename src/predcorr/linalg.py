@@ -9,7 +9,7 @@ numpy arrays validated on entry. Sparsity is used in one way only: a matrix
 that falls apart into connected components of its nonzero pattern is
 factored as a few stacks of small blocks, one stack per component size
 (_component_stacks, _cholesky_stack), since a block-diagonal matrix factors
-as its blocks do.
+as its blocks do, and is applied to a vector the same way (_BlockDiagonal).
 
 Positive definiteness is always decided by Cholesky pivots with the one
 relative tolerance PD_TOL, never by eigensolvers: the pivot sequence is
@@ -206,6 +206,61 @@ def _component_stacks(*mats: np.ndarray) -> list:
     size = size[order]
     cuts = np.flatnonzero(size[1:] != size[:-1]) + 1
     return [g.reshape(-1, size[c]) for g, c in zip(np.split(order, cuts), np.r_[0, cuts])]
+
+
+def _gather(stacks: list, A: np.ndarray) -> list:
+    """A's (k, s, s) blocks on each of stacks; a one-component A is A[None], no copy."""
+    if len(stacks) == 1 and len(stacks[0]) == 1:  # one component, in the identity order
+        return [A[None]]
+    return [A[idx[:, :, None], idx[:, None, :]] for idx in stacks]
+
+
+# Up to this dimension a dense matvec beats the stacked one (per-stack gather,
+# einsum and scatter); measurements in CHANGES.md.
+_DENSE_DIM = 256
+
+
+class _BlockDiagonal:
+    """A square matrix that is zero between the components of _component_stacks.
+
+    blocks[i] is the (k, s, s) stack of its blocks on the components
+    stacks[i]. One component, or a dimension up to _DENSE_DIM, is held as
+    the dense matrix (given as matrix, or scattered from blocks), and op @ x
+    is a plain matrix-vector product; otherwise op @ x multiplies each stack
+    of blocks, and no dim x dim array exists.
+    """
+
+    def __init__(self, stacks: list, blocks: list | None, matrix: np.ndarray | None = None):
+        self.stacks, self.blocks = stacks, blocks
+        self.dim = sum(idx.size for idx in stacks)
+        self._matrix = matrix
+        if matrix is None and len(blocks) == 1 and len(blocks[0]) == 1:
+            self._matrix = blocks[0][0]
+        elif matrix is None and self.dim <= _DENSE_DIM:
+            self._matrix = self.dense()
+
+    def gather(self, A: np.ndarray) -> "_BlockDiagonal":
+        """The operator of A, a dim x dim matrix zero between these components."""
+        if self._matrix is not None:
+            return _BlockDiagonal(self.stacks, None, A)
+        return _BlockDiagonal(self.stacks, _gather(self.stacks, A))
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a dim x dim array."""
+        if self._matrix is not None:
+            return self._matrix
+        A = np.zeros((self.dim, self.dim))
+        for idx, B in zip(self.stacks, self.blocks):
+            A[idx[:, :, None], idx[:, None, :]] = B
+        return A
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self._matrix is not None:
+            return self._matrix @ x
+        y = np.empty_like(x)
+        for idx, B in zip(self.stacks, self.blocks):
+            y[idx] = np.einsum("kij,kj->ki", B, x[idx])
+        return y
 
 
 class SPDPencil:

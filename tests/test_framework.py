@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from predcorr import linalg
 from predcorr import (
     AsymmetryError,
     BlockVector,
     CorrectionSpec,
+    L1Penalty,
+    SaddleSpec,
     SingularCorrectionError,
     UncertifiedSpecError,
     VariationalInstance,
@@ -38,7 +41,7 @@ def test_certify_pass_and_fail():
     good = certify(cp_spec(0.5))  # 0.1875 < 1
     assert good.satisfied
     assert good.h_min_pivot > 0 and good.g_min_pivot > 0
-    np.testing.assert_allclose(good.H, good.H.T)
+    np.testing.assert_allclose(good.H.dense(), good.H.dense().T)
 
     bad = certify(cp_spec(1.5))  # 1.6875 > 1
     assert not bad.satisfied
@@ -48,7 +51,7 @@ def test_certify_pass_and_fail():
 def test_certify_h_oracle():
     # a=0.5: M^-1 = [[1,0],[0.25,1]], H = Q M^-1 = [[1.125,0.5],[0.5,1]]
     cert = certify(cp_spec(0.5))
-    np.testing.assert_allclose(cert.H, [[1.125, 0.5], [0.5, 1.0]], rtol=1e-14)
+    np.testing.assert_allclose(cert.H.dense(), [[1.125, 0.5], [0.5, 1.0]], rtol=1e-14)
 
 
 def test_certify_singular_m():
@@ -86,12 +89,12 @@ def pivot_of(result):
 def assert_matches_dense(spec):
     cert = certify(spec)
     H, h_ref, g_ref = dense_certificate(spec.Q, spec.M)
-    np.testing.assert_allclose(cert.H, H, rtol=0, atol=1e-12 * np.abs(H).max())
+    np.testing.assert_allclose(cert.H.dense(), H, rtol=0, atol=1e-12 * np.abs(H).max())
     assert cert.h_min_pivot == pytest.approx(pivot_of(h_ref), rel=1e-12)
     assert cert.g_min_pivot == pytest.approx(pivot_of(g_ref), rel=1e-12)
     assert cert.satisfied == (h_ref.positive_definite and g_ref.positive_definite)
-    assert cholesky_pd_check(cert.H).pivot_index == h_ref.pivot_index
-    assert cholesky_pd_check(cert.G).pivot_index == g_ref.pivot_index
+    assert cholesky_pd_check(cert.H.dense()).pivot_index == h_ref.pivot_index
+    assert cholesky_pd_check(cert.G.dense()).pivot_index == g_ref.pivot_index
     return cert
 
 
@@ -180,6 +183,10 @@ def _connected_block(rng, size, closed):
        groups=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 2)),
                        min_size=1, max_size=3))
 def test_certify_split_matches_dense(seed, shift, groups):
+    assert_matches_dense(_split_spec(seed, shift, groups))
+
+
+def _split_spec(seed, shift, groups):
     # (Q, M) block diagonal under a random permutation: 1-6 components of
     # sizes 1-5, sizes repeated so that components stack, closed-form and
     # dense M blocks mixed; the shift makes some specs pass and some fail
@@ -196,7 +203,26 @@ def test_certify_split_matches_dense(seed, shift, groups):
         Q[idx] = (H0 + shift * np.eye(size)) @ M[idx]
         start += size
     assume(np.linalg.cond(M) < 1e8)
-    assert_matches_dense(CorrectionSpec(Q=Q, M=M))
+    return CorrectionSpec(Q=Q, M=M)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(-1.0, 3.0),
+       groups=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 2)),
+                       min_size=1, max_size=3))
+def test_block_operator_matches_its_dense_matrix(seed, shift, groups):
+    # the split specs above with every multi-component operator held as
+    # stacks of blocks (they are all smaller than the dense size rule)
+    spec = _split_spec(seed, shift, groups)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_DENSE_DIM", 0)
+        cert = certify(spec)
+        ops = (cert.H, cert.G, cert.H.gather(spec.M))
+    np.testing.assert_array_equal(ops[2].dense(), spec.M)  # zero between components
+    x = np.random.default_rng(seed).normal(size=spec.Q.shape[0])
+    for op in ops:
+        want = op.dense() @ x
+        np.testing.assert_allclose(op @ x, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def _ldl(d):
@@ -246,11 +272,11 @@ def test_certify_asymmetric_component_raises():
 def test_certify_holds_few_dense_temporaries():
     # beside the spec's Q and M: H, G and one Cholesky factor or one
     # dim x dim temporary at a time; split into many small components, only
-    # the dense H and G the blocks are scattered into
+    # the nonzero pattern that labels them (H and G stay blocks)
     for name, inst, bound in (
             ("one component", make_saddle_quadratic(0, 120, 90), 4),
             ("dense-solve stacks", make_multiblock_quadratic(0, 8, 8, 16), 4),
-            ("many components", make_two_block_l1(0, 200, 0.5), 2.5)):
+            ("many components", make_two_block_l1(0, 200, 0.5), 0.3)):
         spec = inst.spec.correction_spec()
         dim = spec.Q.shape[0]
         tracemalloc.start()
@@ -335,7 +361,7 @@ def test_run_first_residual(make):
     inst = make()
     spec = inst.spec
     cspec = spec.correction_spec()
-    H, M = certify(cspec).H, cspec.M
+    H, M = certify(cspec).H.dense(), cspec.M
     rng = np.random.default_rng(5)
     w0 = BlockVector(spec.block_names(),
                      tuple(rng.normal(size=d) for d in spec.block_dims()))
@@ -387,6 +413,35 @@ def test_run_needs_only_the_documented_spec_protocol(mode):
     assert got == want
 
 
+class PreparedCorrection(DocumentedSpec):
+    """A documented spec whose correction_spec() is built once, up front."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self._cspec = inner.correction_spec()
+
+    def correction_spec(self):
+        return self._cspec
+
+
+def test_run_loop_holds_no_dense_matrix():
+    # Q and M are built before tracing starts, so past certify a run's
+    # allocations are blocks and vectors; a densified H or M in the loop
+    # would add a whole dim x dim array to a budget-20 run's peak
+    inst = make_two_block_l1(0, 200, 0.5)
+    inst = VariationalInstance(PreparedCorrection(inst.spec), inst.w_star, inst.seed)
+    dim = inst.spec.correction_spec().Q.shape[0]
+    peaks = []
+    for budget in (0, 20):
+        tracemalloc.start()
+        try:
+            assert len(run(inst, "faster", budget).records) == budget
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.05 * 8 * dim * dim
+
+
 @pytest.mark.parametrize("mode", ["baseline", "faster"])
 def test_run_divergence_ends_in_failure(mode):
     # steps far outside the certified region blow the iterates up; the run
@@ -408,6 +463,73 @@ def test_run_subproblem_failure_is_one_line():
     assert len(trace.records) == 0
     assert "\n" not in trace.failure
     assert "shape (3, 3)" in trace.failure
+
+
+class FaultyL1(L1Penalty):
+    """0.1 ||x||_1 whose sixth prox raises or returns NaN, or whose sixth value is inf."""
+
+    def __init__(self, fault=None):
+        super().__init__(0.1)
+        self.fault, self.proxes, self.values = fault, 0, 0
+
+    def prox(self, z, rho):
+        self.proxes += 1
+        if self.proxes == 6 and self.fault == "raise":
+            raise ZeroDivisionError("division by zero")
+        if self.proxes == 6 and self.fault == "nan":
+            return np.full_like(z, np.nan)
+        return super().prox(z, rho)
+
+    def value(self, x):
+        self.values += 1
+        return np.inf if self.values == 6 and self.fault == "inf" else super().value(x)
+
+
+def _faulty_saddle(fault=None):
+    # certified: r s = 4 > (1 - alpha + alpha^2) rho(A'A) = 0.75 * 1.25
+    A = np.array([[1.0, 0.5], [-0.5, 1.0]])
+    return VariationalInstance(SaddleSpec(FaultyL1(fault), L1Penalty(0.1), A, 2.0, 2.0, 0.5))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+@pytest.mark.parametrize("fault, failure", [
+    ("raise", "ZeroDivisionError in predict at k=5: division by zero"),
+    ("nan", "ValueError in predict at k=5: "),
+    ("inf", "non-finite value at k=5"),
+], ids=["prox-raises", "prox-nan", "value-inf"])
+def test_run_custom_component_fault_ends_in_failure(mode, fault, failure):
+    # a fault in a custom ProxOp at iteration 5 ends the run there, with
+    # the five rows before it as a clean run has them
+    clean = run(_faulty_saddle(), mode, 20)
+    assert clean.failure is None and len(clean.records) == 20
+    trace = run(_faulty_saddle(fault), mode, 20)
+    assert trace.failure.startswith(failure)
+    assert [r.csv_fields() for r in trace.records] == [r.csv_fields() for r in clean.records[:5]]
+    assert np.all(np.isfinite(trace.final_v))
+
+
+class NaNImageSpec(DocumentedSpec):
+    """A documented spec whose seventh image, a few iterations in, is NaN."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.images = 0
+
+    def image(self, w):
+        self.images += 1
+        v = self._inner.image(w)
+        return np.full_like(v, np.nan) if self.images == 7 else v
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+def test_run_non_finite_state_ends_in_failure(mode):
+    # a NaN passes through every floating-point operation without raising
+    inst = make_saddle_quadratic(3, 3, 2)
+    custom = VariationalInstance(NaNImageSpec(inst.spec), inst.w_star, inst.seed)
+    trace = run(custom, mode, 20)
+    assert trace.failure.startswith("non-finite value at k=")
+    assert 0 < len(trace.records) < 20
+    assert np.all(np.isfinite(trace.final_v))
 
 
 def _small_instance(family, seed, n, m):

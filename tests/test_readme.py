@@ -1,4 +1,5 @@
 """The README's console and Python examples, run and checked line for line."""
+import json
 import re
 import shlex
 from pathlib import Path
@@ -42,3 +43,16 @@ def test_python_example(capsys):
             assert out == line.split("# ", 1)[1].strip()
             checked += 1
     assert checked == 1
+
+
+def test_summary_names_its_measured_point(tmp_path):
+    # the README's summary.json paragraph names each mode's measured point
+    named = {mode: point for point, mode in
+             re.findall(r"`(\w+)`\s+in\s+(baseline|faster)\s+mode", README)}
+    assert named == {"baseline": "ergodic_average", "faster": "accelerated_iterate"}
+    for mode, point in named.items():
+        out = tmp_path / mode
+        assert main(["run", "--generator", "two-block-l1", "--seed", "0", "--param", "n=5",
+                     "--param", "mu=0.5", "--mode", mode, "--budget", "5",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["measured_at"] == point
