@@ -5,16 +5,18 @@ v = spec.image(w), which is the whole corrected state: Q scales the
 prediction inclusion, and M drives the correction v <- v - M (v - v_tilde).
 Each family's predictor reads its blocks from v alone; faster mode carries
 one more state item, the previous accelerated point breve_prev.
-Before any run the scheme must pass the convergence condition, checked here
-as a certificate: H = Q M^{-1} symmetric positive definite and
-G = Q^T + Q - M^T H M positive definite. certify checks it on each connected
-component of the nonzero pattern of (Q, M), factoring small stacked blocks
-in place of dim x dim matrices. It forms G from M^T Q (equal, as H M = Q),
-and H from a closed-form M^{-1} where M's nonzero pattern allows it (every
-two-block and saddle scheme), else from a dense solve. H and G stay in
-that block form, and the run loop applies H and M on the same components.
-All rate guarantees measured by this package hold exactly under that
-certificate.
+A family hands (Q, M) over as blocks on its image blocks (CorrectionSpec),
+which labels the connected components of their joint nonzero pattern once
+and holds Q and M as stacks of small blocks on them, with no dim x dim
+array unless there is one component. Before any run the scheme must pass
+the convergence condition, checked here as a certificate:
+H = Q M^{-1} symmetric positive definite and G = Q^T + Q - M^T H M
+positive definite. certify checks it on the spec's stacks of blocks. It
+forms G from M^T Q (equal, as H M = Q), and H from a closed-form M^{-1}
+where M's nonzero pattern allows it (every two-block and saddle scheme),
+else from a dense solve. H and G stay in that block form, and the run
+loop applies H and the spec's M on the same components. All rate
+guarantees measured by this package hold exactly under that certificate.
 
 The run loop supports two modes. Baseline mode alternates a family-specific
 prediction with the M-correction and reports metrics at the running average
@@ -32,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import (PD_TOL, AsymmetryError, _BlockDiagonal, _checked, _cholesky_stack,
-                     _component_stacks, _gather, as_matrix)
+from .linalg import (PD_TOL, AsymmetryError, _block_parts, _BlockDiagonal, _checked,
+                     _cholesky_stack, _component_stacks, _dense, _edges, _read_only,
+                     _stacked)
 from .schedule import DEFAULT_TAU_INIT, _check_unit_interval, tau_next
 from .trace import IterationTrace, TraceRecord
 
@@ -51,7 +54,7 @@ class SubproblemError(RuntimeError):
 
 
 class _ComponentFailure(Exception):
-    """A spec's predict or a ProxOp raised inside the run loop; str is the failure."""
+    """A spec's predict or image, or a ProxOp, raised in the run loop; str is the failure."""
 
 
 def _component(where: str, k: int, call, *args):
@@ -70,19 +73,46 @@ def _component(where: str, k: int, call, *args):
 
 @dataclass(frozen=True)
 class CorrectionSpec:
-    """The matrix pair (Q, M) defining one prediction-correction scheme."""
+    """The matrix pair (Q, M) defining one prediction-correction scheme.
 
-    Q: np.ndarray
-    M: np.ndarray
+    Q and M are given either as square arrays, or, with dims, as blocks on
+    the partition of the indices into consecutive ranges of sizes dims: a
+    dict mapping (i, j) to the block on ranges i and j, which is a 2-d
+    array, or, on a square block, a 1-d array (its diagonal) or a scalar c
+    (c I). Absent blocks are zero. An array is the one-block case. The
+    blocks are validated here, once, and the connected components of the
+    joint nonzero pattern of Q and M labelled from their nonzero entries;
+    Q and M are then held as linalg._BlockDiagonal operators on those
+    components (Q @ x, Q.dense(), Q.shape), read-only. Neither is formed
+    as a dim x dim array unless it has one component or a dimension up to
+    linalg._DENSE_DIM.
+    """
+
+    Q: object
+    M: object
+    dims: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", as_matrix(self.Q, "Q"))
-        object.__setattr__(self, "M", as_matrix(self.M, "M"))
-        dim = self.Q.shape[0]
-        for name, mat in (("Q", self.Q), ("M", self.M)):
-            if mat.shape != (dim, dim):
-                raise ValueError(
-                    f"{name} must be square of dim {dim}, got {mat.shape}")
+        if self.dims is None:
+            Q, M = np.asarray(self.Q, dtype=float), np.asarray(self.M, dtype=float)
+            if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or M.shape != Q.shape:
+                raise ValueError("Q and M must be square arrays of one shape, "
+                                 f"got {Q.shape} and {M.shape}")
+            dims, blocks = (len(Q),), ({(0, 0): Q}, {(0, 0): M})
+        else:
+            dims, blocks = tuple(int(d) for d in self.dims), (self.Q, self.M)
+        parts = [_block_parts(dims, b, name) for b, name in zip(blocks, ("Q", "M"))]
+        edges = [_edges(p) for p in parts]
+        n = sum(dims)
+        stacks = _component_stacks(n, *(np.concatenate([e[i] for e in edges])
+                                        for i in (0, 1)))
+        if len(stacks) == 1 and len(stacks[0]) == 1:  # one component: the dense matrix
+            held = [[_dense(n, p)[None]] for p in parts]
+        else:
+            held = [_stacked(stacks, p) for p in parts]
+        for name, blocks in zip(("Q", "M"), held):
+            object.__setattr__(self, name, _BlockDiagonal(stacks, [_read_only(B) for B in blocks]))
+        object.__setattr__(self, "dims", dims)
 
 
 @dataclass(frozen=True)
@@ -181,19 +211,19 @@ def _verdict(stacks: list, blocks: list) -> tuple:
 def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     """Build the convergence certificate for a correction spec.
 
-    The nonzero pattern of |Q| + |M| splits the indices into connected
-    components, and components of one size are gathered into one stack of
-    small blocks. Each stack yields its blocks of H = Q M^{-1}, in closed
-    form where the stack's pattern allows it (see _closed_form) and by a
-    stacked dense solve otherwise, and of G = Q^T + Q - M^T Q (as H M = Q).
-    A block-diagonal matrix factors as its blocks do, so stacked Cholesky
-    factorizations, held to the whole matrix's threshold, decide both
-    conditions; a failure reports the offending pivot with the smallest
-    index. A spec of one component is one stack of one block, Q and M
-    themselves. H and G are returned as operators on the stacks of blocks
-    (linalg._BlockDiagonal: op @ x, op.dense()), with no dim x dim array
-    unless the spec has one component or a dimension up to
-    linalg._DENSE_DIM.
+    The spec holds Q and M on the connected components of their joint
+    nonzero pattern, components of one size as one stack of small blocks
+    (see CorrectionSpec), and certify reads those stacks. Each stack yields
+    its blocks of H = Q M^{-1}, in closed form where the stack's pattern
+    allows it (see _closed_form) and by a stacked dense solve otherwise,
+    and of G = Q^T + Q - M^T Q (as H M = Q). A block-diagonal matrix
+    factors as its blocks do, so stacked Cholesky factorizations, held to
+    the whole matrix's threshold, decide both conditions; a failure reports
+    the offending pivot with the smallest index. A spec of one component is
+    one stack of one block, the dense Q and M. H and G are returned as
+    operators on the stacks of blocks (linalg._BlockDiagonal: op @ x,
+    op.dense()), with no dim x dim array unless the spec has one component
+    or a dimension up to linalg._DENSE_DIM.
 
     H is symmetric in exact arithmetic for every scheme in this package, so
     asymmetry beyond 1e-8 relative to the largest entry of Q M^{-1} signals
@@ -210,8 +240,8 @@ def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     ValueError
         If H or G has a non-finite entry.
     """
-    stacks = _component_stacks(spec.Q, spec.M)
-    parts = list(zip(_gather(stacks, spec.Q), _gather(stacks, spec.M)))
+    stacks = spec.Q.stacks
+    parts = list(zip(spec.Q.blocks, spec.M.blocks))
     forms = [_closed_form(Mb) for _, Mb in parts]
     Hs = [_h_blocks(Qb, Mb, form) for (Qb, Mb), form in zip(parts, forms)]
     # over the whole of Q M^-1; H - H^T is antisymmetric, so its max is max |H - H^T|
@@ -263,11 +293,17 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
         Records evaluated at the mode's theorem point, plus final state. A
         subproblem that cannot be solved, an overflow or invalid value
         (divergence, reported as "diverged at k=..."), an exception raised
-        by the spec's predict or by an objective's prox or value (reported
-        as "<Type> in predict at k=...: <message>", or "in objective"), or
-        an inf or NaN in the corrected state or the objective ("non-finite
-        value at k=...") ends the run early with ``failure`` set and the
-        records before it kept.
+        by the spec's predict or image in the loop, or by an objective's
+        prox or value (reported as "<Type> in predict at k=...: <message>",
+        or "in image", "in objective"), or an inf or NaN in the corrected
+        state or the objective ("non-finite value at k=...") ends the run
+        early with ``failure`` set and the records before it kept.
+
+    Raises
+    ------
+    ValueError
+        If w0, or the first predict's output, does not have the spec's
+        block structure.
     """
     if mode not in ("baseline", "faster"):
         raise ValueError(f"mode must be 'baseline' or 'faster', got {mode!r}")
@@ -289,7 +325,7 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
     if not w_start.same_structure(zero):
         raise ValueError("w0 does not match the spec's block structure")
     v = spec.image(w_start)
-    H, M = cert.H, cert.H.gather(cspec.M)  # both on the certificate's components
+    H, M = cert.H, cspec.M  # both on the spec's components
 
     has_oracle = getattr(instance, "w_star", None) is not None
     v_star = spec.image(instance.w_star) if has_oracle else None
@@ -314,10 +350,13 @@ def run(instance, mode: str, budget: int, *, tau_init: float = DEFAULT_TAU_INIT,
                 if faster:
                     tau_k = tau_next(tau_k)
                 w_breve, w_tilde = _component("predict", k, spec.predict, v, breve_prev, tau_k)
-                v_tilde = spec.image(w_tilde)
+                if k == 0 and not all(isinstance(w, BlockVector) and w.same_structure(zero)
+                                      for w in (w_breve, w_tilde)):
+                    raise ValueError("predict's output does not match the spec's block structure")
+                v_tilde = _component("image", k, spec.image, w_tilde)
                 if faster:
                     measured = w_breve
-                    v_breve = spec.image(w_breve)
+                    v_breve = _component("image", k, spec.image, w_breve)
                     m_diff = M @ (v_breve - v_breve_prev)
                     v_breve_prev = v_breve
                 else:

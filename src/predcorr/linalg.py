@@ -5,11 +5,14 @@ the operations here: a pivot-reporting Cholesky positive-definiteness check,
 the dominant eigenvalue of a Gram matrix, and the SPD pencil tau*S + W that
 every SPD system in the package is solved through, prepared once so that
 each solve costs two matrix-vector products. Matrices and vectors are plain
-numpy arrays validated on entry. Sparsity is used in one way only: a matrix
-that falls apart into connected components of its nonzero pattern is
-factored as a few stacks of small blocks, one stack per component size
-(_component_stacks, _cholesky_stack), since a block-diagonal matrix factors
-as its blocks do, and is applied to a vector the same way (_BlockDiagonal).
+numpy arrays validated on entry and read-only from then on. Sparsity is
+used in one way only: a matrix given as blocks on a partition of its
+indices (_block_parts: dense, diagonal or scalar blocks) that falls apart
+into connected components of its nonzero pattern is labelled from the
+blocks' nonzero entries (_edges, _component_stacks), gathered into a few
+stacks of small blocks, one stack per component size (_stacked), and
+factored that way (_cholesky_stack), since a block-diagonal matrix factors
+as its blocks do; it is applied to a vector the same way (_BlockDiagonal).
 
 Positive definiteness is always decided by Cholesky pivots with the one
 relative tolerance PD_TOL, never by eigensolvers: the pivot sequence is
@@ -20,6 +23,7 @@ names the offending pivot.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +63,20 @@ def _checked(a, ndim: int, name: str) -> np.ndarray:
     return a
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: data that is validated once must not change afterwards."""
+    a.setflags(write=False)
+    return a
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-d float array with finite entries, as a copy."""
-    return _checked(np.array(a, dtype=float), 2, name)
+    """Validate and return a 2-d float array with finite entries, as a read-only copy."""
+    return _read_only(_checked(np.array(a, dtype=float), 2, name))
 
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Validate and return a 1-d float array with finite entries, as a copy."""
-    return _checked(np.array(a, dtype=float), 1, name)
+    """Validate and return a 1-d float array with finite entries, as a read-only copy."""
+    return _read_only(_checked(np.array(a, dtype=float), 1, name))
 
 
 def check_symmetric(S: np.ndarray, tol: float, name: str = "matrix") -> None:
@@ -168,29 +178,15 @@ def _pivot_loop(S: np.ndarray, threshold: float) -> tuple:
     return L, -1, 0.0
 
 
-def _component_stacks(*mats: np.ndarray) -> list:
-    """The connected components of square matrices' joint nonzero pattern, by size.
+def _component_stacks(n: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """The connected components of indices 0..n-1 joined by edges, by size.
 
-    Indices i and j are joined when some matrix is nonzero at (i, j) or
-    (j, i). Returns one (k, s) index array per component size s, sizes
-    ascending: each row is one component, its indices ascending, and rows
-    are ordered by their smallest index. When index 0 reaches every index
-    along rows alone, it returns after reading only the rows it passed.
+    Edge e joins rows[e] and cols[e]. Returns one (k, s) index array per
+    component size s, sizes ascending: each row is one component, its
+    indices ascending, and rows are ordered by their smallest index.
     """
-    n = mats[0].shape[0]
     if n == 0:
         return []
-    reached = frontier = np.logical_or.reduce([A[0] != 0 for A in mats])
-    while frontier.any() and not reached.all():  # breadth-first along rows
-        step = np.logical_or.reduce([(A[frontier] != 0).any(axis=0) for A in mats])
-        frontier = step & ~reached
-        reached = reached | frontier
-    if reached.all():
-        return [np.arange(n)[None]]
-    P = mats[0] != 0
-    for A in mats[1:]:
-        P |= A != 0
-    rows, cols = np.divmod(np.flatnonzero(P), n)
     labels = np.arange(n)  # labels[i] <= i is an index in i's component
     while True:  # each index takes its neighbours' smallest label, then jumps
         new = labels.copy()
@@ -208,11 +204,113 @@ def _component_stacks(*mats: np.ndarray) -> list:
     return [g.reshape(-1, size[c]) for g, c in zip(np.split(order, cuts), np.r_[0, cuts])]
 
 
-def _gather(stacks: list, A: np.ndarray) -> list:
-    """A's (k, s, s) blocks on each of stacks; a one-component A is A[None], no copy."""
-    if len(stacks) == 1 and len(stacks[0]) == 1:  # one component, in the identity order
-        return [A[None]]
-    return [A[idx[:, :, None], idx[:, None, :]] for idx in stacks]
+def _block_parts(dims: tuple, blocks: dict, name: str) -> list:
+    """Validated (row offset, column offset, size, block) of a matrix given by blocks.
+
+    blocks maps (i, j) to the block on rows i and columns j of the
+    partition dims: a 2-d array of shape (dims[i], dims[j]), or, for
+    dims[i] == dims[j] = size, a 1-d array (the diagonal) or a scalar c
+    (c I), kept as a float.
+    """
+    offsets = np.cumsum((0,) + dims).tolist()
+    parts = []
+    for (i, j), block in blocks.items():
+        if not (0 <= i < len(dims) and 0 <= j < len(dims)):
+            raise ValueError(f"{name} block ({i}, {j}) is outside {len(dims)} blocks")
+        if not isinstance(block, float):  # a float, the common block, skips numpy
+            block = np.asarray(block, dtype=float)
+            if block.ndim == 0:
+                block = float(block)
+        got = () if isinstance(block, float) else block.shape
+        shape = (dims[i], dims[j])
+        if len(got) < 2 and dims[i] == dims[j]:
+            shape = shape[:len(got)]
+        if got != shape:
+            raise ValueError(f"{name} block ({i}, {j}) must have shape {shape}, got {got}")
+        if not (math.isfinite(block) if got == () else np.isfinite(block).all()):
+            raise ValueError(f"{name} block ({i}, {j}) contains non-finite entries")
+        parts.append((offsets[i], offsets[j], dims[i], block))
+    return parts
+
+
+def _is_2d(block) -> bool:
+    """Whether a block of _block_parts is a 2-d array, not a scalar or a diagonal."""
+    return not isinstance(block, float) and block.ndim == 2
+
+
+def _diagonal_entries(parts: list) -> tuple:
+    """(rows, cols, values) of the nonzero entries of _block_parts' scalar and diagonal blocks."""
+    diag = [part for part in parts if not _is_2d(part[3])]
+    if not diag:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    r0, c0, size, d = zip(*diag)
+    at = np.arange(sum(size)) - np.repeat(np.cumsum(size) - size, size)
+    d = (np.repeat(d, size) if all(isinstance(b, float) for b in d)
+         else np.concatenate([np.broadcast_to(b, (n,)) for n, b in zip(size, d)]))
+    on = d != 0
+    return (np.repeat(r0, size) + at)[on], (np.repeat(c0, size) + at)[on], d[on]
+
+
+def _edges(parts: list) -> tuple:
+    """(rows, cols) of edges joining the indices that _block_parts' nonzero entries join.
+
+    A 2-d block without a zero joins all its rows and columns, so a star on
+    them stands in for its entries.
+    """
+    rows, cols, _ = _diagonal_entries(parts)
+    rows, cols = [rows], [cols]
+    for r0, c0, _, block in parts:
+        if not _is_2d(block):
+            continue
+        on = block != 0
+        p, q = block.shape
+        if on.all():
+            r = np.r_[np.arange(p), np.zeros(q, dtype=np.intp)]
+            c = np.r_[np.zeros(p, dtype=np.intp), np.arange(q)]
+        else:
+            r, c = np.divmod(np.flatnonzero(on), q)
+        rows.append(r0 + r)
+        cols.append(c0 + c)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _dense(n: int, parts: list) -> np.ndarray:
+    """The n x n matrix of _block_parts; a scalar or diagonal block d enters as d * I."""
+    A = np.zeros((n, n))
+    for r0, c0, size, block in parts:
+        if not _is_2d(block):
+            block = block * np.eye(size)
+        A[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
+    return A
+
+
+def _stacked(stacks: list, parts: list) -> list:
+    """The (k, s, s) blocks on each of stacks of the matrix of _block_parts.
+
+    The matrix is zero between the components of stacks. A 2-d block is
+    read at the positions of each stack that fall inside it.
+    """
+    rows, cols, values = _diagonal_entries(parts)
+    n = sum(idx.size for idx in stacks)
+    stack, member, pos = (np.empty(n, dtype=np.intp) for _ in range(3))
+    for t, idx in enumerate(stacks):
+        stack[idx] = t
+        member[idx] = np.arange(len(idx))[:, None]
+        pos[idx] = np.arange(idx.shape[1])
+    out = []
+    for t, idx in enumerate(stacks):
+        B = np.zeros((len(idx), idx.shape[1], idx.shape[1]))
+        on = stack[rows] == t
+        r, c = rows[on], cols[on]
+        B[member[r], pos[r], pos[c]] = values[on]
+        R, C = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+        for r0, c0, _, block in parts:
+            if _is_2d(block):
+                p, q = block.shape
+                inside = (R >= r0) & (R < r0 + p) & (C >= c0) & (C < c0 + q)
+                B[inside] = block[R[inside] - r0, C[inside] - c0]
+        out.append(B)
+    return out
 
 
 # Up to this dimension a dense matvec beats the stacked one (per-stack gather,
@@ -225,25 +323,23 @@ class _BlockDiagonal:
 
     blocks[i] is the (k, s, s) stack of its blocks on the components
     stacks[i]. One component, or a dimension up to _DENSE_DIM, is held as
-    the dense matrix (given as matrix, or scattered from blocks), and op @ x
-    is a plain matrix-vector product; otherwise op @ x multiplies each stack
-    of blocks, and no dim x dim array exists.
+    the dense matrix (the one block, or scattered from the blocks), and
+    op @ x is a plain matrix-vector product; otherwise op @ x multiplies
+    each stack of blocks, and no dim x dim array exists.
     """
 
-    def __init__(self, stacks: list, blocks: list | None, matrix: np.ndarray | None = None):
+    def __init__(self, stacks: list, blocks: list):
         self.stacks, self.blocks = stacks, blocks
         self.dim = sum(idx.size for idx in stacks)
-        self._matrix = matrix
-        if matrix is None and len(blocks) == 1 and len(blocks[0]) == 1:
+        self._matrix = None
+        if len(blocks) == 1 and len(blocks[0]) == 1:
             self._matrix = blocks[0][0]
-        elif matrix is None and self.dim <= _DENSE_DIM:
-            self._matrix = self.dense()
+        elif self.dim <= _DENSE_DIM:
+            self._matrix = _read_only(self.dense())
 
-    def gather(self, A: np.ndarray) -> "_BlockDiagonal":
-        """The operator of A, a dim x dim matrix zero between these components."""
-        if self._matrix is not None:
-            return _BlockDiagonal(self.stacks, None, A)
-        return _BlockDiagonal(self.stacks, _gather(self.stacks, A))
+    @property
+    def shape(self) -> tuple:
+        return (self.dim, self.dim)
 
     def dense(self) -> np.ndarray:
         """The matrix as a dim x dim array."""
@@ -291,8 +387,8 @@ class SPDPencil:
         if d[-1] > 1.0 + PD_TOL:
             raise np.linalg.LinAlgError(
                 f"tau*S + W is indefinite for tau below {1.0 - 1.0 / d[-1]:.6e}")
-        self.d = d
-        self.V = np.linalg.solve(L.T, U)
+        self.d = _read_only(d)
+        self.V = _read_only(np.linalg.solve(L.T, U))
 
     def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
         """x with (tau*S + W) x = rhs; rhs is trusted (1-d, finite, length n)."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import as_matrix, cholesky_pd_check, spectral_radius_gram
+from .linalg import _read_only, as_matrix, cholesky_pd_check, spectral_radius_gram
 from .prox import L1Penalty, ProxOp, QuadraticCost, SimplexIndicator, soft_threshold
 from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec
 
@@ -80,7 +80,7 @@ class VariationalInstance:
             raise ValueError("oracle point is not feasible")
         # theta(u*) and F(w*), constant over every run, for gap_to_star
         object.__setattr__(self, "_theta_star", self.objective(self.w_star))
-        object.__setattr__(self, "_F_star", self.F(self.w_star))
+        object.__setattr__(self, "_F_star", _read_only(self.F(self.w_star)))
 
     @property
     def family(self) -> str:

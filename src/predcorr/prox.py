@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SPDPencil, as_matrix, as_vector, check_symmetric
+from .linalg import SPDPencil, _read_only, as_matrix, as_vector, check_symmetric
 
 
 def soft_threshold(x, weight: float):
@@ -114,8 +114,8 @@ class BoxIndicator(ProxOp):
     kind = "box"
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
+        self.lo = _read_only(np.array(lo, dtype=float))
+        self.hi = _read_only(np.array(hi, dtype=float))
         if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
             raise ValueError("box bounds must not be NaN")
         if np.any(self.lo > self.hi):

@@ -28,8 +28,8 @@ import numpy as np
 
 from .blocks import BlockVector
 from .framework import CorrectionSpec, SubproblemError
-from .linalg import (PD_TOL, NotPositiveDefiniteError, SPDPencil, as_matrix, as_vector,
-                     check_symmetric, cholesky_pd_check, spectral_radius_gram)
+from .linalg import (PD_TOL, NotPositiveDefiniteError, SPDPencil, _read_only, as_matrix,
+                     as_vector, check_symmetric, cholesky_pd_check, spectral_radius_gram)
 from .prox import ProxOp, QuadraticCost
 
 
@@ -140,8 +140,8 @@ class TwoBlockSpec:
             check_symmetric(P, PD_TOL, "P")
             if np.min(np.linalg.eigvalsh(P)) < -PD_TOL * (1.0 + np.max(np.abs(P))):
                 raise ValueError("P must be positive semidefinite")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "_W2", self.beta * gram2)
+        object.__setattr__(self, "P", _read_only(P))
+        object.__setattr__(self, "_W2", _read_only(self.beta * gram2))
         object.__setattr__(self, "_solve", (
             prepare_prediction(self.prox_f1, self.beta * gram1 + P),
             prepare_prediction(self.prox_f2, self._W2)))
@@ -172,19 +172,11 @@ class TwoBlockSpec:
                 and self.r + self.s > margin)
 
     def correction_spec(self) -> CorrectionSpec:
-        n1, n2, l = self.block_dims()
-        beta, r, s = self.beta, self.r, self.s
-        A2 = self.A2
-        Q = np.zeros((n1 + n2 + l, n1 + n2 + l))
-        Q[:n1, :n1] = self.P
-        Q[n1:n1 + n2, n1:n1 + n2] = self._W2
-        Q[n1:n1 + n2, n1 + n2:] = -r * A2.T
-        Q[n1 + n2:, n1:n1 + n2] = -A2
-        Q[n1 + n2:, n1 + n2:] = np.eye(l) / beta
-        M = np.eye(n1 + n2 + l)
-        M[n1 + n2:, n1:n1 + n2] = -s * beta * A2
-        M[n1 + n2:, n1 + n2:] = (r + s) * np.eye(l)
-        return CorrectionSpec(Q=Q, M=M)
+        beta, r, s, A2 = self.beta, self.r, self.s, self.A2
+        Q = {(0, 0): self.P, (1, 1): self._W2, (1, 2): -r * A2.T, (2, 1): -A2,
+             (2, 2): 1.0 / beta}
+        M = {(0, 0): 1.0, (1, 1): 1.0, (2, 1): -s * beta * A2, (2, 2): r + s}
+        return CorrectionSpec(Q, M, self.block_dims())
 
     def image(self, w: BlockVector) -> np.ndarray:
         return w.concat()
@@ -195,7 +187,7 @@ class TwoBlockSpec:
         prev = None if tau == 1.0 else breve_prev  # no anchor at tau = 1
         a1, a2, _ = (None,) * 3 if prev is None else prev.blocks
 
-        q1 = -self.A1.T @ lam + self.beta * (self.A1.T @ (self.A2 @ x2 - self.b)) \
+        q1 = -(self.A1.T @ lam) + self.beta * (self.A1.T @ (self.A2 @ x2 - self.b)) \
             - self.P @ x1
         b1, t1 = self._solve[0](q1, tau, a1)
 
@@ -203,7 +195,7 @@ class TwoBlockSpec:
         lam_tilde = lam - self.beta * slack
         lam_half = lam - self.r * self.beta * slack
 
-        q2 = -self.A2.T @ lam_half + self.beta * (self.A2.T @ (self.A1 @ t1 - self.b))
+        q2 = -(self.A2.T @ lam_half) + self.beta * (self.A2.T @ (self.A1 @ t1 - self.b))
         b2, t2 = self._solve[1](q2, tau, a2)
         names = self.block_names()
         w_tilde = BlockVector(names, (t1, t2, lam_tilde))
@@ -273,23 +265,14 @@ class MultiBlockSpec:
         return margin < self.alpha < 1.0 - margin
 
     def correction_spec(self) -> CorrectionSpec:
-        m, l = self.m, self.n_constraints
-        eye = np.eye(l)
-        Q = np.zeros(((m + 1) * l, (m + 1) * l))
-        for i in range(m):
-            for j in range(i + 1):
-                Q[i * l:(i + 1) * l, j * l:(j + 1) * l] = eye
-            Q[i * l:(i + 1) * l, m * l:] = eye
-        Q[m * l:, m * l:] = eye
-
-        M = np.zeros_like(Q)
-        for i in range(m):
-            M[i * l:(i + 1) * l, i * l:(i + 1) * l] = self.alpha * eye
-            if i + 1 < m:
-                M[i * l:(i + 1) * l, (i + 1) * l:(i + 2) * l] = -self.alpha * eye
-        M[m * l:, :l] = -self.alpha * eye
-        M[m * l:, m * l:] = eye
-        return CorrectionSpec(Q=Q, M=M)
+        """Identity blocks on the image blocks: Q lower triangular plus a last column."""
+        m, alpha = self.m, self.alpha
+        Q = {(i, j): 1.0 for i in range(m) for j in (*range(i + 1), m)}
+        Q[m, m] = 1.0
+        M = {(i, i): alpha for i in range(m)}
+        M.update({(i, i + 1): -alpha for i in range(m - 1)})
+        M.update({(m, 0): -alpha, (m, m): 1.0})
+        return CorrectionSpec(Q, M, (self.n_constraints,) * (m + 1))
 
     def image(self, w: BlockVector) -> np.ndarray:
         rb = np.sqrt(self.beta)
@@ -308,7 +291,7 @@ class MultiBlockSpec:
         drift = np.zeros(self.n_constraints)  # sum_{j<i} A_j (xt_j - x_j)
         sum_ax = np.zeros(self.n_constraints)
         for i, (A, solve) in enumerate(zip(self.A_i, self._solve)):
-            q = -A.T @ lam + self.beta * (A.T @ (drift - ax[i]))
+            q = -(A.T @ lam) + self.beta * (A.T @ (drift - ax[i]))
             xb, xt = solve(q, tau, None if prev is None else prev[i])
             breves.append(xb)
             tildes.append(xt)
@@ -379,15 +362,10 @@ class SaddleSpec:
         return 0.0 <= self.alpha <= 1.0 and self.r * self.s > bound + margin
 
     def correction_spec(self) -> CorrectionSpec:
-        n, m = self.n_primal, self.n_dual
-        Q = np.zeros((n + m, n + m))
-        Q[:n, :n] = self.r * np.eye(n)
-        Q[:n, n:] = self.A.T
-        Q[n:, :n] = self.alpha * self.A
-        Q[n:, n:] = self.s * np.eye(m)
-        M = np.eye(n + m)
-        M[n:, :n] = -((1.0 - self.alpha) / self.s) * self.A
-        return CorrectionSpec(Q=Q, M=M)
+        A = self.A
+        Q = {(0, 0): self.r, (0, 1): A.T, (1, 0): self.alpha * A, (1, 1): self.s}
+        M = {(0, 0): 1.0, (1, 1): 1.0, (1, 0): -((1.0 - self.alpha) / self.s) * A}
+        return CorrectionSpec(Q, M, self.block_dims())
 
     def image(self, w: BlockVector) -> np.ndarray:
         return w.concat()

@@ -88,7 +88,7 @@ def pivot_of(result):
 
 def assert_matches_dense(spec):
     cert = certify(spec)
-    H, h_ref, g_ref = dense_certificate(spec.Q, spec.M)
+    H, h_ref, g_ref = dense_certificate(spec.Q.dense(), spec.M.dense())
     np.testing.assert_allclose(cert.H.dense(), H, rtol=0, atol=1e-12 * np.abs(H).max())
     assert cert.h_min_pivot == pytest.approx(pivot_of(h_ref), rel=1e-12)
     assert cert.g_min_pivot == pytest.approx(pivot_of(g_ref), rel=1e-12)
@@ -183,10 +183,10 @@ def _connected_block(rng, size, closed):
        groups=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 2)),
                        min_size=1, max_size=3))
 def test_certify_split_matches_dense(seed, shift, groups):
-    assert_matches_dense(_split_spec(seed, shift, groups))
+    assert_matches_dense(CorrectionSpec(*_split_matrices(seed, shift, groups)))
 
 
-def _split_spec(seed, shift, groups):
+def _split_matrices(seed, shift, groups):
     # (Q, M) block diagonal under a random permutation: 1-6 components of
     # sizes 1-5, sizes repeated so that components stack, closed-form and
     # dense M blocks mixed; the shift makes some specs pass and some fail
@@ -203,7 +203,7 @@ def _split_spec(seed, shift, groups):
         Q[idx] = (H0 + shift * np.eye(size)) @ M[idx]
         start += size
     assume(np.linalg.cond(M) < 1e8)
-    return CorrectionSpec(Q=Q, M=M)
+    return Q, M
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -213,12 +213,13 @@ def _split_spec(seed, shift, groups):
 def test_block_operator_matches_its_dense_matrix(seed, shift, groups):
     # the split specs above with every multi-component operator held as
     # stacks of blocks (they are all smaller than the dense size rule)
-    spec = _split_spec(seed, shift, groups)
+    Q, M = _split_matrices(seed, shift, groups)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_DENSE_DIM", 0)
+        spec = CorrectionSpec(Q=Q, M=M)
         cert = certify(spec)
-        ops = (cert.H, cert.G, cert.H.gather(spec.M))
-    np.testing.assert_array_equal(ops[2].dense(), spec.M)  # zero between components
+        ops = (cert.H, cert.G, spec.M)
+    np.testing.assert_array_equal(ops[2].dense(), M)  # zero between components
     x = np.random.default_rng(seed).normal(size=spec.Q.shape[0])
     for op in ops:
         want = op.dense() @ x
@@ -271,12 +272,12 @@ def test_certify_asymmetric_component_raises():
 
 def test_certify_holds_few_dense_temporaries():
     # beside the spec's Q and M: H, G and one Cholesky factor or one
-    # dim x dim temporary at a time; split into many small components, only
-    # the nonzero pattern that labels them (H and G stay blocks)
+    # dim x dim temporary at a time; split into many small components, no
+    # dim x dim array at all (the spec labelled them, H and G stay blocks)
     for name, inst, bound in (
             ("one component", make_saddle_quadratic(0, 120, 90), 4),
             ("dense-solve stacks", make_multiblock_quadratic(0, 8, 8, 16), 4),
-            ("many components", make_two_block_l1(0, 200, 0.5), 0.3)):
+            ("many components", make_two_block_l1(0, 200, 0.5), 0.05)):
         spec = inst.spec.correction_spec()
         dim = spec.Q.shape[0]
         tracemalloc.start()
@@ -530,6 +531,76 @@ def test_run_non_finite_state_ends_in_failure(mode):
     assert trace.failure.startswith("non-finite value at k=")
     assert 0 < len(trace.records) < 20
     assert np.all(np.isfinite(trace.final_v))
+
+
+class FaultyImageSpec(DocumentedSpec):
+    """A documented spec whose fifth image call raises."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.images = 0
+
+    def image(self, w):
+        self.images += 1
+        if self.images == 5:
+            raise ZeroDivisionError("division by zero")
+        return self._inner.image(w)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+def test_run_image_fault_ends_in_failure(mode):
+    # two image calls come before the loop (start and oracle), then one per
+    # baseline iteration and two per faster one: the fifth is in k=2 or k=1
+    inst = make_saddle_quadratic(3, 3, 2)
+    clean = run(inst, mode, 20)
+    custom = VariationalInstance(FaultyImageSpec(inst.spec), inst.w_star, inst.seed)
+    trace = run(custom, mode, 20)
+    k = 2 if mode == "baseline" else 1
+    assert trace.failure == f"ZeroDivisionError in image at k={k}: division by zero"
+    assert [r.csv_fields() for r in trace.records] == [r.csv_fields() for r in clean.records[:k]]
+    assert np.all(np.isfinite(trace.final_v))
+
+
+class WrongBlocksSpec(DocumentedSpec):
+    """A documented spec whose predict renames a block or drops an entry."""
+
+    def __init__(self, inner, fault):
+        super().__init__(inner)
+        self.fault = fault
+
+    def predict(self, v, breve_prev, tau):
+        out = []
+        for w in self._inner.predict(v, breve_prev, tau):
+            if self.fault == "name":
+                w = BlockVector(("u",) + w.names[1:], w.blocks)
+            else:
+                w = BlockVector(w.names, (w[0][:-1],) + w.blocks[1:])
+            out.append(w)
+        return tuple(out)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+@pytest.mark.parametrize("fault", ["name", "size"])
+def test_run_checks_the_first_prediction_structure(mode, fault):
+    inst = make_saddle_quadratic(3, 3, 2)
+    custom = VariationalInstance(WrongBlocksSpec(inst.spec, fault), inst.w_star, inst.seed)
+    with pytest.raises(ValueError, match="predict's output does not match"):
+        run(custom, mode, 5)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
+def test_run_set_up_holds_no_dense_matrix(mode):
+    # a budget-0 run builds (Q, M) from the family's blocks and certifies
+    # them on 2n small components: no dim x dim array at any point
+    inst = make_two_block_l1(0, 200, 0.5)
+    dim = sum(inst.spec.block_dims())
+    tracemalloc.start()
+    try:
+        run(inst, mode, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * dim * dim
 
 
 def _small_instance(family, seed, n, m):

@@ -6,6 +6,7 @@ import pytest
 
 from predcorr import (
     BlockVector,
+    BoxIndicator,
     SplitMix64,
     certify,
     gap_at,
@@ -326,3 +327,32 @@ def test_document_round_trip(build):
     # documents survive the JSON text layer unchanged
     import json
     assert instance_to_document(back) == json.loads(json.dumps(doc))
+
+
+
+HELD = ("A1", "A2", "b", "P", "_W2", "A_i", "multi-block b", "A", "S", "c", "V", "d",
+        "_F_star", "lo", "hi", "Q block", "M block")
+
+
+def _held_array(name):
+    # one array of each kind that a spec, a ProxOp or an instance holds
+    from predcorr.linalg import SPDPencil
+    two = make_two_block_quadratic(0, 4, 3, 5).spec
+    multi = make_multiblock_quadratic(0, 3, 2, 3).spec
+    saddle = make_saddle_quadratic(0, 6, 4)
+    pencil = SPDPencil(np.eye(2), np.eye(2))
+    box = BoxIndicator(np.zeros(3), np.ones(3))
+    cspec = two.correction_spec()
+    return {"A1": two.A1, "A2": two.A2, "b": two.b, "P": two.P, "_W2": two._W2,
+            "A_i": multi.A_i[0], "multi-block b": multi.b, "A": saddle.spec.A,
+            "S": saddle.spec.prox_f.S, "c": saddle.spec.prox_f.c, "V": pencil.V,
+            "d": pencil.d, "_F_star": saddle._F_star, "lo": box.lo, "hi": box.hi,
+            "Q block": cspec.Q.blocks[0], "M block": cspec.M.blocks[0]}[name]
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_problem_data_is_read_only(name):
+    # a write would leave what was derived from the data (prepared solves,
+    # theta(u*), F(w*)) stale; every held array refuses it
+    with pytest.raises(ValueError, match="read-only"):
+        _held_array(name)[...] = 2.0

@@ -290,7 +290,7 @@ def test_prediction_satisfies_inclusion(family):
         inst = make_saddle_quadratic(2, 3, 2)
         L, op = np.eye(5), sd_gradF
     spec = inst.spec
-    Q = spec.correction_spec().Q
+    Q = spec.correction_spec().Q.dense()
 
     w = BlockVector(spec.block_names(),
                     tuple(rng.normal(size=d) for d in spec.block_dims()))
