@@ -34,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import (PD_TOL, AsymmetryError, _block_parts, _BlockDiagonal, _checked,
-                     _cholesky_stack, _component_stacks, _dense, _edges, _read_only,
-                     _stacked)
+from .linalg import (PD_TOL, AsymmetryError, _BlockDiagonal, _Blocks, _checked,
+                     _cholesky_stack, _component_stacks, _read_only)
 from .schedule import DEFAULT_TAU_INIT, _check_unit_interval, tau_next
 from .trace import IterationTrace, TraceRecord
 
@@ -99,17 +98,17 @@ class CorrectionSpec:
                 raise ValueError("Q and M must be square arrays of one shape, "
                                  f"got {Q.shape} and {M.shape}")
             dims, blocks = (len(Q),), ({(0, 0): Q}, {(0, 0): M})
-        else:
+        elif isinstance(self.Q, dict) and isinstance(self.M, dict):
             dims, blocks = tuple(int(d) for d in self.dims), (self.Q, self.M)
-        parts = [_block_parts(dims, b, name) for b, name in zip(blocks, ("Q", "M"))]
-        edges = [_edges(p) for p in parts]
-        n = sum(dims)
-        stacks = _component_stacks(n, *(np.concatenate([e[i] for e in edges])
-                                        for i in (0, 1)))
-        if len(stacks) == 1 and len(stacks[0]) == 1:  # one component: the dense matrix
-            held = [[_dense(n, p)[None]] for p in parts]
         else:
-            held = [_stacked(stacks, p) for p in parts]
+            raise TypeError("with dims, Q and M must be dicts of blocks")
+        mats = [_Blocks(dims, b, name) for b, name in zip(blocks, ("Q", "M"))]
+        rows, cols = (np.concatenate(e) for e in zip(*(m.edges() for m in mats)))
+        stacks = _component_stacks(sum(dims), rows, cols)
+        if len(stacks) == 1 and len(stacks[0]) == 1:  # one component: the dense matrix
+            held = [[m.dense()[None]] for m in mats]
+        else:
+            held = [m.stacked(stacks) for m in mats]
         for name, blocks in zip(("Q", "M"), held):
             object.__setattr__(self, name, _BlockDiagonal(stacks, [_read_only(B) for B in blocks]))
         object.__setattr__(self, "dims", dims)

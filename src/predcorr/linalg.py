@@ -7,12 +7,13 @@ every SPD system in the package is solved through, prepared once so that
 each solve costs two matrix-vector products. Matrices and vectors are plain
 numpy arrays validated on entry and read-only from then on. Sparsity is
 used in one way only: a matrix given as blocks on a partition of its
-indices (_block_parts: dense, diagonal or scalar blocks) that falls apart
-into connected components of its nonzero pattern is labelled from the
-blocks' nonzero entries (_edges, _component_stacks), gathered into a few
-stacks of small blocks, one stack per component size (_stacked), and
-factored that way (_cholesky_stack), since a block-diagonal matrix factors
-as its blocks do; it is applied to a vector the same way (_BlockDiagonal).
+indices (_Blocks: dense, diagonal or scalar blocks) that falls apart into
+connected components of its nonzero pattern is labelled from the blocks'
+nonzero entries (_Blocks.edges, _component_stacks), gathered into a few
+stacks of small blocks, one stack per component size (_Blocks.stacked),
+and factored that way (_cholesky_stack), since a block-diagonal matrix
+factors as its blocks do; it is applied to a vector the same way
+(_BlockDiagonal).
 
 Positive definiteness is always decided by Cholesky pivots with the one
 relative tolerance PD_TOL, never by eigensolvers: the pivot sequence is
@@ -204,113 +205,108 @@ def _component_stacks(n: int, rows: np.ndarray, cols: np.ndarray) -> list:
     return [g.reshape(-1, size[c]) for g, c in zip(np.split(order, cuts), np.r_[0, cuts])]
 
 
-def _block_parts(dims: tuple, blocks: dict, name: str) -> list:
-    """Validated (row offset, column offset, size, block) of a matrix given by blocks.
+class _Blocks:
+    """A square matrix given as blocks on a partition of its indices, validated once.
 
     blocks maps (i, j) to the block on rows i and columns j of the
     partition dims: a 2-d array of shape (dims[i], dims[j]), or, for
-    dims[i] == dims[j] = size, a 1-d array (the diagonal) or a scalar c
-    (c I), kept as a float.
+    dims[i] == dims[j], a 1-d array (the diagonal) or a scalar c (c I).
+    Absent blocks are zero. The matrix is read from its blocks (edges,
+    stacked, dense), never formed unless asked for (dense).
     """
-    offsets = np.cumsum((0,) + dims).tolist()
-    parts = []
-    for (i, j), block in blocks.items():
-        if not (0 <= i < len(dims) and 0 <= j < len(dims)):
-            raise ValueError(f"{name} block ({i}, {j}) is outside {len(dims)} blocks")
-        if not isinstance(block, float):  # a float, the common block, skips numpy
-            block = np.asarray(block, dtype=float)
-            if block.ndim == 0:
-                block = float(block)
-        got = () if isinstance(block, float) else block.shape
-        shape = (dims[i], dims[j])
-        if len(got) < 2 and dims[i] == dims[j]:
-            shape = shape[:len(got)]
-        if got != shape:
-            raise ValueError(f"{name} block ({i}, {j}) must have shape {shape}, got {got}")
-        if not (math.isfinite(block) if got == () else np.isfinite(block).all()):
-            raise ValueError(f"{name} block ({i}, {j}) contains non-finite entries")
-        parts.append((offsets[i], offsets[j], dims[i], block))
-    return parts
 
+    def __init__(self, dims: tuple, blocks: dict, name: str):
+        offsets = np.cumsum((0,) + dims).tolist()
+        self.n = offsets[-1]
+        self.full, self.diagonal = [], []  # (r0, c0, 2-d block); (r0, c0, size, float or 1-d)
+        for (i, j), block in blocks.items():
+            if not (0 <= i < len(dims) and 0 <= j < len(dims)):
+                raise ValueError(f"{name} block ({i}, {j}) is outside {len(dims)} blocks")
+            if not isinstance(block, float):  # a float, the common block, skips numpy
+                block = np.asarray(block, dtype=float)
+                if block.ndim == 0:
+                    block = float(block)
+            got = () if isinstance(block, float) else block.shape
+            shape = (dims[i], dims[j])
+            if len(got) < 2 and dims[i] == dims[j]:
+                shape = shape[:len(got)]
+            if got != shape:
+                raise ValueError(f"{name} block ({i}, {j}) must have shape {shape}, got {got}")
+            if not (math.isfinite(block) if got == () else np.isfinite(block).all()):
+                raise ValueError(f"{name} block ({i}, {j}) contains non-finite entries")
+            if len(got) == 2:
+                self.full.append((offsets[i], offsets[j], block))
+            else:
+                self.diagonal.append((offsets[i], offsets[j], dims[i], block))
+        self._entries = self._diagonal_entries()
 
-def _is_2d(block) -> bool:
-    """Whether a block of _block_parts is a 2-d array, not a scalar or a diagonal."""
-    return not isinstance(block, float) and block.ndim == 2
+    def _diagonal_entries(self) -> tuple:
+        """(rows, cols, values) of the nonzero entries of the scalar and diagonal blocks."""
+        if not self.diagonal:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        r0, c0, size, d = zip(*self.diagonal)
+        size = np.array(size)
+        start = np.cumsum(size) - size  # of each block's run of entries
+        at = np.arange(size.sum())
+        d = (np.repeat(d, size) if all(isinstance(b, float) for b in d)
+             else np.concatenate([np.broadcast_to(b, (k,)) for k, b in zip(size, d)]))
+        on = d != 0
+        return ((np.repeat(np.subtract(r0, start), size) + at)[on],
+                (np.repeat(np.subtract(c0, start), size) + at)[on], d[on])
 
+    def edges(self) -> tuple:
+        """(rows, cols) of edges joining the indices the nonzero entries join.
 
-def _diagonal_entries(parts: list) -> tuple:
-    """(rows, cols, values) of the nonzero entries of _block_parts' scalar and diagonal blocks."""
-    diag = [part for part in parts if not _is_2d(part[3])]
-    if not diag:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    r0, c0, size, d = zip(*diag)
-    at = np.arange(sum(size)) - np.repeat(np.cumsum(size) - size, size)
-    d = (np.repeat(d, size) if all(isinstance(b, float) for b in d)
-         else np.concatenate([np.broadcast_to(b, (n,)) for n, b in zip(size, d)]))
-    on = d != 0
-    return (np.repeat(r0, size) + at)[on], (np.repeat(c0, size) + at)[on], d[on]
+        A 2-d block without a zero joins all its rows and columns, so a star
+        on them stands in for its entries.
+        """
+        rows, cols = [self._entries[0]], [self._entries[1]]
+        for r0, c0, block in self.full:
+            on = block != 0
+            p, q = block.shape
+            if on.all():
+                r = np.r_[np.arange(p), np.zeros(q, dtype=np.intp)]
+                c = np.r_[np.zeros(p, dtype=np.intp), np.arange(q)]
+            else:
+                r, c = np.divmod(np.flatnonzero(on), q)
+            rows.append(r0 + r)
+            cols.append(c0 + c)
+        return np.concatenate(rows), np.concatenate(cols)
 
+    def dense(self) -> np.ndarray:
+        """The n x n matrix; a scalar or diagonal block d enters as d * I."""
+        A = np.zeros((self.n, self.n))
+        for r0, c0, size, d in self.diagonal:
+            A[r0:r0 + size, c0:c0 + size] = d * np.eye(size)
+        for r0, c0, block in self.full:
+            A[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
+        return A
 
-def _edges(parts: list) -> tuple:
-    """(rows, cols) of edges joining the indices that _block_parts' nonzero entries join.
+    def stacked(self, stacks: list) -> list:
+        """The (k, s, s) blocks on each of stacks, the components of _component_stacks.
 
-    A 2-d block without a zero joins all its rows and columns, so a star on
-    them stands in for its entries.
-    """
-    rows, cols, _ = _diagonal_entries(parts)
-    rows, cols = [rows], [cols]
-    for r0, c0, _, block in parts:
-        if not _is_2d(block):
-            continue
-        on = block != 0
-        p, q = block.shape
-        if on.all():
-            r = np.r_[np.arange(p), np.zeros(q, dtype=np.intp)]
-            c = np.r_[np.zeros(p, dtype=np.intp), np.arange(q)]
-        else:
-            r, c = np.divmod(np.flatnonzero(on), q)
-        rows.append(r0 + r)
-        cols.append(c0 + c)
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-def _dense(n: int, parts: list) -> np.ndarray:
-    """The n x n matrix of _block_parts; a scalar or diagonal block d enters as d * I."""
-    A = np.zeros((n, n))
-    for r0, c0, size, block in parts:
-        if not _is_2d(block):
-            block = block * np.eye(size)
-        A[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
-    return A
-
-
-def _stacked(stacks: list, parts: list) -> list:
-    """The (k, s, s) blocks on each of stacks of the matrix of _block_parts.
-
-    The matrix is zero between the components of stacks. A 2-d block is
-    read at the positions of each stack that fall inside it.
-    """
-    rows, cols, values = _diagonal_entries(parts)
-    n = sum(idx.size for idx in stacks)
-    stack, member, pos = (np.empty(n, dtype=np.intp) for _ in range(3))
-    for t, idx in enumerate(stacks):
-        stack[idx] = t
-        member[idx] = np.arange(len(idx))[:, None]
-        pos[idx] = np.arange(idx.shape[1])
-    out = []
-    for t, idx in enumerate(stacks):
-        B = np.zeros((len(idx), idx.shape[1], idx.shape[1]))
-        on = stack[rows] == t
-        r, c = rows[on], cols[on]
-        B[member[r], pos[r], pos[c]] = values[on]
-        R, C = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
-        for r0, c0, _, block in parts:
-            if _is_2d(block):
+        The matrix is zero between them. A 2-d block is read at the
+        positions of each stack that fall inside it.
+        """
+        rows, cols, values = self._entries
+        stack, member, pos = (np.empty(self.n, dtype=np.intp) for _ in range(3))
+        for t, idx in enumerate(stacks):
+            stack[idx] = t
+            member[idx] = np.arange(len(idx))[:, None]
+            pos[idx] = np.arange(idx.shape[1])
+        out = []
+        for t, idx in enumerate(stacks):
+            B = np.zeros((len(idx), idx.shape[1], idx.shape[1]))
+            on = stack[rows] == t
+            r, c = rows[on], cols[on]
+            B[member[r], pos[r], pos[c]] = values[on]
+            R, C = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+            for r0, c0, block in self.full:
                 p, q = block.shape
                 inside = (R >= r0) & (R < r0 + p) & (C >= c0) & (C < c0 + q)
                 B[inside] = block[R[inside] - r0, C[inside] - c0]
-        out.append(B)
-    return out
+            out.append(B)
+        return out
 
 
 # Up to this dimension a dense matvec beats the stacked one (per-stack gather,

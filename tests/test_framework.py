@@ -72,6 +72,37 @@ def test_correction_spec_validation():
         CorrectionSpec(Q=np.eye(3), M=np.eye(2))
 
 
+def test_correction_spec_from_blocks():
+    # dims (2, 1, 2): a dense block, a scalar block (c I), a diagonal block
+    # and an absent (zero) block give the matrix they stand for
+    Q = {(0, 0): [[2.0, 1.0], [1.0, 3.0]], (1, 1): 4.0, (2, 2): [5.0, 6.0],
+         (0, 2): 0.5, (2, 0): 0.5}
+    spec = CorrectionSpec(Q, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}, (2, 1, 2))
+    want = np.array([[2.0, 1.0, 0.0, 0.5, 0.0], [1.0, 3.0, 0.0, 0.0, 0.5],
+                     [0.0, 0.0, 4.0, 0.0, 0.0], [0.5, 0.0, 0.0, 5.0, 0.0],
+                     [0.0, 0.5, 0.0, 0.0, 6.0]])
+    np.testing.assert_array_equal(spec.Q.dense(), want)
+    np.testing.assert_array_equal(spec.M.dense(), np.eye(5))
+    assert spec.Q.shape == (5, 5)
+    assert [idx.tolist() for idx in spec.Q.stacks] == [[[2]], [[0, 1, 3, 4]]]
+    dense = certify(CorrectionSpec(want, np.eye(5)))
+    np.testing.assert_array_equal(certify(spec).H.dense(), dense.H.dense())
+
+
+@pytest.mark.parametrize("Q, error", [
+    ({(0, 2): np.eye(2)}, ValueError),  # no block 2
+    ({(0, 1): 1.0}, ValueError),  # a scalar block must be square
+    ({(1, 1): [1.0, 2.0]}, ValueError),  # a diagonal of the wrong size
+    ({(0, 0): np.ones((2, 3))}, ValueError),  # a dense block of the wrong shape
+    ({(0, 0): np.inf}, ValueError),
+    ({(0, 1): [[np.nan], [1.0]]}, ValueError),
+    (np.eye(3), TypeError),  # with dims, blocks come as a dict
+], ids=["index", "scalar-shape", "diagonal-shape", "dense-shape", "inf", "nan", "array"])
+def test_correction_spec_rejects_bad_blocks(Q, error):
+    with pytest.raises(error):
+        CorrectionSpec(Q, {(0, 0): 1.0, (1, 1): 1.0}, (2, 1))
+
+
 def dense_certificate(Q, M):
     # the definition: H = Q M^-1 by a dense solve, G = Q^T + Q - M^T H M
     h = np.linalg.solve(M.T, Q.T).T
