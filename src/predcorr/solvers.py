@@ -265,7 +265,7 @@ class MultiBlockSpec:
         return margin < self.alpha < 1.0 - margin
 
     def correction_spec(self) -> CorrectionSpec:
-        """Identity blocks on the image blocks: Q lower triangular plus a last column."""
+        """Scalar blocks on the image blocks: Q lower triangular plus the last column."""
         m, alpha = self.m, self.alpha
         Q = {(i, j): 1.0 for i in range(m) for j in (*range(i + 1), m)}
         Q[m, m] = 1.0
