@@ -83,8 +83,8 @@ class CorrectionSpec:
     joint nonzero pattern of Q and M labelled from their nonzero entries;
     Q and M are then held as linalg._BlockDiagonal operators on those
     components (Q @ x, Q.dense(), Q.shape), read-only. Neither is formed
-    as a dim x dim array unless it has one component or a dimension up to
-    linalg._DENSE_DIM.
+    as a dim x dim array unless it has one component, or, up to
+    linalg._DENSE_DIM, once it is applied.
     """
 
     Q: object
@@ -221,8 +221,8 @@ def certify(spec: CorrectionSpec) -> ConvergenceCertificate:
     the offending pivot with the smallest index. A spec of one component is
     one stack of one block, the dense Q and M. H and G are returned as
     operators on the stacks of blocks (linalg._BlockDiagonal: op @ x,
-    op.dense()), with no dim x dim array unless the spec has one component
-    or a dimension up to linalg._DENSE_DIM.
+    op.dense()), with no dim x dim array unless the spec has one component,
+    or, up to linalg._DENSE_DIM, once it is applied.
 
     H is symmetric in exact arithmetic for every scheme in this package, so
     asymmetry beyond 1e-8 relative to the largest entry of Q M^{-1} signals

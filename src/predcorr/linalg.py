@@ -4,23 +4,29 @@ Everything downstream (certificates, subproblem solves, step sizes) runs on
 the operations here: a pivot-reporting Cholesky positive-definiteness check,
 the dominant eigenvalue of a Gram matrix, and the SPD pencil tau*S + W that
 every SPD system in the package is solved through, prepared once so that
-each solve costs two matrix-vector products. Matrices and vectors are plain
-numpy arrays validated on entry and read-only from then on. Sparsity is
-used in one way only: a matrix given as blocks on a partition of its
-indices (_Blocks: dense, diagonal or scalar blocks) that falls apart into
-connected components of its nonzero pattern is labelled from the blocks'
-nonzero entries (_Blocks.edges, _component_stacks), gathered into a few
-stacks of small blocks, one stack per component size (_Blocks.stacked),
-and factored that way (_cholesky_stack), since a block-diagonal matrix
-factors as its blocks do; it is applied to a vector the same way
-(_BlockDiagonal).
+each solve costs two matrix-vector products, or one division when S and W
+are diagonal. Matrices and vectors are plain numpy arrays validated on
+entry and read-only from then on. Structure is used in two ways, each
+decided from the data where it enters:
+
+- A square matrix that is zero off its diagonal is held as its diagonal
+  (_held, _Diagonal): its products, its Gram matrix, its spectral norm and
+  a pencil whose S and W are both diagonal are elementwise, and no n x n
+  array is formed from it. Any other matrix stays a dense array.
+- A matrix given as blocks on a partition of its indices (_Blocks: dense,
+  diagonal or scalar blocks) that falls apart into connected components
+  of its nonzero pattern is labelled from the blocks' nonzero entries
+  (_Blocks.edges, _component_stacks), gathered into a few stacks of small
+  blocks, one stack per component size (_Blocks.stacked), and factored
+  that way (_cholesky_stack), since a block-diagonal matrix factors as its
+  blocks do; it is applied to a vector the same way (_BlockDiagonal).
 
 Positive definiteness is always decided by Cholesky pivots with the one
 relative tolerance PD_TOL, never by eigensolvers: the pivot sequence is
 deterministic and the first nonpositive pivot is exactly the evidence a
 failed certificate needs. LAPACK computes the factor; the pivot loop reruns
 only when LAPACK's factor does not clear the threshold, and its verdict
-names the offending pivot.
+names the offending pivot. The pivots of a diagonal matrix are its entries.
 """
 from __future__ import annotations
 
@@ -80,6 +86,54 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return _read_only(_checked(np.array(a, dtype=float), 1, name))
 
 
+class _Diagonal:
+    """A square matrix that is zero off its diagonal, held as its diagonal d (read-only).
+
+    op @ x is d * x for a vector x, and a _Diagonal for a _Diagonal x, so
+    op.T @ op is its Gram matrix; op.T is op. No n x n array is formed
+    unless _dense asks for one.
+    """
+
+    def __init__(self, d: np.ndarray):
+        self.d = _read_only(d)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.d.size, self.d.size)
+
+    @property
+    def T(self) -> "_Diagonal":
+        return self
+
+    def __matmul__(self, x):
+        if isinstance(x, _Diagonal):
+            return _Diagonal(self.d * x.d)
+        return self.d * x
+
+
+def _held(A: np.ndarray):
+    """A square 2-d array that is zero off its diagonal as a _Diagonal, else A as it is.
+
+    The one check that decides the diagonal path. It runs where problem
+    data enters (a spec's matrices, a quadratic's S, an instance's
+    coupling); what is derived from held data keeps its form.
+    """
+    if (A.ndim == 2 and A.shape[0] == A.shape[1]
+            and np.count_nonzero(A) == np.count_nonzero(A.diagonal())):
+        return _Diagonal(A.diagonal())
+    return A
+
+
+def _entries(op) -> np.ndarray:
+    """The stored entries of a held matrix: a _Diagonal's diagonal, or the array."""
+    return op.d if isinstance(op, _Diagonal) else op
+
+
+def _dense(op) -> np.ndarray:
+    """A held matrix as an array: np.diag of a _Diagonal's diagonal, or the array."""
+    return np.diag(op.d) if isinstance(op, _Diagonal) else op
+
+
 def check_symmetric(S: np.ndarray, tol: float, name: str = "matrix") -> None:
     """Raise AsymmetryError when ||S - S^T||_max > tol * (1 + ||S||_max)."""
     if S.shape[0] != S.shape[1]:
@@ -136,6 +190,13 @@ def cholesky_pd_check(S) -> PDResult:
     if first[0] >= 0:
         return PDResult(False, None, int(first[0]), float(value[0]))
     return PDResult(True, L[0], None, None)
+
+
+def _diagonal_pivots(b: np.ndarray) -> tuple:
+    """(first, value) of diag(b)'s Cholesky pivots, b its entries: first is -1 when
+    every b_i exceeds PD_TOL * (1 + max b), else the first index at or below it."""
+    low = np.flatnonzero(~(b > PD_TOL * (1.0 + b.max(initial=-np.inf))))
+    return (int(low[0]), float(b[low[0]])) if low.size else (-1, 0.0)
 
 
 def _cholesky_stack(S: np.ndarray, threshold: float) -> tuple:
@@ -318,20 +379,17 @@ class _BlockDiagonal:
     """A square matrix that is zero between the components of _component_stacks.
 
     blocks[i] is the (k, s, s) stack of its blocks on the components
-    stacks[i]. One component, or a dimension up to _DENSE_DIM, is held as
-    the dense matrix (the one block, or scattered from the blocks), and
-    op @ x is a plain matrix-vector product; otherwise op @ x multiplies
-    each stack of blocks, and no dim x dim array exists.
+    stacks[i]. One component is held as the dense matrix (the one block).
+    Up to _DENSE_DIM the blocks are scattered into the dense matrix on the
+    first op @ x or dense() call, and op @ x is a plain matrix-vector
+    product from then on; otherwise op @ x multiplies each stack of blocks,
+    and no dim x dim array exists.
     """
 
     def __init__(self, stacks: list, blocks: list):
         self.stacks, self.blocks = stacks, blocks
         self.dim = sum(idx.size for idx in stacks)
-        self._matrix = None
-        if len(blocks) == 1 and len(blocks[0]) == 1:
-            self._matrix = blocks[0][0]
-        elif self.dim <= _DENSE_DIM:
-            self._matrix = _read_only(self.dense())
+        self._matrix = blocks[0][0] if len(blocks) == 1 and len(blocks[0]) == 1 else None
 
     @property
     def shape(self) -> tuple:
@@ -344,11 +402,13 @@ class _BlockDiagonal:
         A = np.zeros((self.dim, self.dim))
         for idx, B in zip(self.stacks, self.blocks):
             A[idx[:, :, None], idx[:, None, :]] = B
+        if self.dim <= _DENSE_DIM:
+            self._matrix = _read_only(A)
         return A
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix @ x
+        if self._matrix is not None or self.dim <= _DENSE_DIM:
+            return self.dense() @ x
         y = np.empty_like(x)
         for idx, B in zip(self.stacks, self.blocks):
             y[idx] = np.einsum("kij,kj->ki", B, x[idx])
@@ -366,6 +426,12 @@ class SPDPencil:
     d <= 1, which holds whenever W is PSD; both are checked here, once.
     W may be singular (a Gram matrix of a wide block) as long as B is not.
 
+    When S and W are both given as _Diagonal (held by _held where the data
+    entered), the pencil holds their diagonals s and w instead (V is None):
+    B's pivots are s + w, d = s / (s + w), and each solve is
+    rhs / (tau*s + w). The checks and their errors are the dense path's.
+    Arrays take the dense path, whatever their entries.
+
     Raises
     ------
     NotPositiveDefiniteError
@@ -375,19 +441,31 @@ class SPDPencil:
     """
 
     def __init__(self, S, W):
-        res = cholesky_pd_check(S + W)
-        if not res.positive_definite:
-            raise NotPositiveDefiniteError(res.pivot_index, res.pivot_value)
-        L = res.factor
-        d, U = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, S).T))
-        if d[-1] > 1.0 + PD_TOL:
+        if isinstance(S, _Diagonal) and isinstance(W, _Diagonal):
+            self.s, self.w, self.V = S.d, W.d, None
+            b = _checked(self.s + self.w, 1, "S")
+            first, value = _diagonal_pivots(b)
+            if first >= 0:
+                raise NotPositiveDefiniteError(first, value)
+            d = self.s / b
+        else:
+            S, W = _dense(S), _dense(W)
+            res = cholesky_pd_check(S + W)
+            if not res.positive_definite:
+                raise NotPositiveDefiniteError(res.pivot_index, res.pivot_value)
+            L = res.factor
+            d, U = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, S).T))
+            self.V = _read_only(np.linalg.solve(L.T, U))
+        top = d.max(initial=-np.inf)
+        if top > 1.0 + PD_TOL:
             raise np.linalg.LinAlgError(
-                f"tau*S + W is indefinite for tau below {1.0 - 1.0 / d[-1]:.6e}")
+                f"tau*S + W is indefinite for tau below {1.0 - 1.0 / top:.6e}")
         self.d = _read_only(d)
-        self.V = _read_only(np.linalg.solve(L.T, U))
 
     def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
         """x with (tau*S + W) x = rhs; rhs is trusted (1-d, finite, length n)."""
+        if self.V is None:
+            return rhs / (tau * self.s + self.w)
         return self.V @ ((self.V.T @ rhs) / (1.0 - (1.0 - tau) * self.d))
 
 
@@ -396,9 +474,12 @@ def spectral_radius_gram(A) -> float:
 
     Computed from the largest singular value of A, so the result does not
     depend on a start vector: 0.0 exactly for the zero matrix, inf on overflow.
+    A _Diagonal A (see _held) gives max d_i^2 without a decomposition.
     """
-    A = as_matrix(A, "A")
-    if not np.any(A):
+    A = A if isinstance(A, _Diagonal) else as_matrix(A, "A")
+    if not np.any(_entries(A)):
         return 0.0
     with np.errstate(over="ignore"):
+        if isinstance(A, _Diagonal):
+            return float(np.max(A.d ** 2))
         return float(np.linalg.norm(A, 2) ** 2)

@@ -24,32 +24,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import _read_only, as_matrix, cholesky_pd_check, spectral_radius_gram
+from .linalg import _held, _read_only, as_matrix, cholesky_pd_check, spectral_radius_gram
 from .prox import L1Penalty, ProxOp, QuadraticCost, SimplexIndicator, soft_threshold
 from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """splitmix64 stream: z = seed += 0x9E3779B97F4A7C15, then two xor-mul mixes."""
+    """splitmix64 stream: z = seed += 0x9E3779B97F4A7C15, then two xor-mul mixes.
+
+    The stream is counter-based: word k of the stream mixes
+    seed + k * 0x9E3779B97F4A7C15 (mod 2^64), so n words are drawn at once
+    as numpy uint64 arithmetic, which wraps mod 2^64 as the reference does.
+    """
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
+    def _words(self, n: int) -> np.ndarray:
+        """The next n 64-bit words, as uint64."""
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return int(self._words(1)[0])
 
     def uniform(self) -> float:
         """One draw in [-1, 1] from the top 53 bits."""
-        return 2.0 * ((self.next_uint64() >> 11) * 2.0 ** -53) - 1.0
+        return float(self.vector(1)[0])
 
     def vector(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)])
+        """n draws in [-1, 1], each from the top 53 bits of one word."""
+        return 2.0 * ((self._words(n) >> np.uint64(11)) * 2.0 ** -53) - 1.0
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.vector(rows * cols).reshape(rows, cols)
@@ -71,6 +84,9 @@ class VariationalInstance:
     seed: int | None = None
 
     def __post_init__(self):
+        # F and the residual apply the coupling matrices as linalg._held holds them
+        As, b = self.spec.coupling
+        object.__setattr__(self, "_coupling", (tuple(_held(A) for A in As), b))
         if self.w_star is None:
             return
         zero = BlockVector.zeros(self.spec.block_names(), self.spec.block_dims())
@@ -92,18 +108,18 @@ class VariationalInstance:
 
     def _residual(self, w: BlockVector):
         """(-b + A_1 x_1) + A_2 x_2 + ..., with 0.0 in place of -b without b."""
-        As, b = self.spec.coupling
+        As, b = self._coupling
         return sum((A @ w[i] for i, A in enumerate(As)), 0.0 if b is None else -b)
 
     def F(self, w: BlockVector) -> np.ndarray:
         """F(w) as one flat vector, blocks in the order of w."""
-        As, _ = self.spec.coupling
+        As, _ = self._coupling
         y = w[len(As)]
         return np.concatenate([-(A.T @ y) for A in As] + [self._residual(w)])
 
     def feasibility(self, w: BlockVector) -> float:
         """Constraint residual ||sum_i A_i x_i - b||; zero without a constraint."""
-        if self.spec.coupling[1] is None:
+        if self._coupling[1] is None:
             return 0.0
         return float(np.linalg.norm(self._residual(w)))
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SPDPencil, _read_only, as_matrix, as_vector, check_symmetric
+from .linalg import (SPDPencil, _Diagonal, _held, _read_only, as_matrix, as_vector,
+                     check_symmetric)
 
 
 def soft_threshold(x, weight: float):
@@ -147,14 +148,20 @@ class SimplexIndicator(ProxOp):
 
 
 class QuadraticCost(ProxOp):
-    """f(x) = (1/2) x^T S x - c^T x + const, with S symmetric PSD."""
+    """f(x) = (1/2) x^T S x - c^T x + const, with S symmetric PSD.
+
+    S is the dense read-only array; value, grad and the prox apply it in
+    its held form (linalg._held), elementwise when S is diagonal.
+    """
 
     kind = "quadratic"
 
     def __init__(self, S, c, const: float = 0.0):
         self.S = as_matrix(S, "S")
         self.c = as_vector(c, "c")
-        check_symmetric(self.S, 1e-8, "S")
+        self._S = _held(self.S)
+        if self._S is self.S:  # a diagonal is symmetric
+            check_symmetric(self.S, 1e-8, "S")
         if self.S.shape[0] != self.c.size:
             raise ValueError("S and c dimensions disagree")
         self.const = float(const)
@@ -169,15 +176,15 @@ class QuadraticCost(ProxOp):
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.S @ x) - self.c @ x) + self.const
+        return float(0.5 * x @ (self._S @ x) - self.c @ x) + self.const
 
     def grad(self, x) -> np.ndarray:
-        return self.S @ np.asarray(x, dtype=float) - self.c
+        return self._S @ np.asarray(x, dtype=float) - self.c
 
     def prox(self, z, rho: float) -> np.ndarray:
         """Solves (S + rho I) x = c + rho z; NotPositiveDefiniteError if not SPD."""
         rho = float(rho)
-        return SPDPencil(self.S, rho * np.eye(self.c.size)).solve(
+        return SPDPencil(self._S, _Diagonal(np.full(self.c.size, rho))).solve(
             self.c + rho * as_vector(z, "z"), 1.0)
 
     def to_json(self) -> dict:

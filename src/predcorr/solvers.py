@@ -22,29 +22,33 @@ multiplier from its scaled image blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .blocks import BlockVector
 from .framework import CorrectionSpec, SubproblemError
-from .linalg import (PD_TOL, NotPositiveDefiniteError, SPDPencil, _read_only, as_matrix,
-                     as_vector, check_symmetric, cholesky_pd_check, spectral_radius_gram)
+from .linalg import (PD_TOL, NotPositiveDefiniteError, SPDPencil, _dense, _Diagonal,
+                     _diagonal_pivots, _entries, _held, _read_only, as_matrix, as_vector,
+                     check_symmetric, cholesky_pd_check, spectral_radius_gram)
 from .prox import ProxOp, QuadraticCost
 
 
 def prepare_prediction(f: ProxOp, W):
     """Prepare 0 in df(x_breve) + W x_tilde + q once; return its unchecked solve.
 
-    W is a matrix or a scalar rho for rho*I. solve(q, tau, anchor) gives
+    W is a matrix (an array, or a linalg._Diagonal held as its diagonal) or a
+    scalar rho for rho*I, which is diagonal. solve(q, tau, anchor) gives
     (x_breve, x_tilde) at any tau: a quadratic f solves through its SPDPencil,
     any other f through its prox at the scalar weight decided here. A subproblem
     that cannot be prepared gets a solve raising the SubproblemError saying why.
     """
+    if not (np.isscalar(W) or isinstance(W, _Diagonal)):
+        W = as_matrix(W, "W")
     if isinstance(f, QuadraticCost):
-        W = W * np.eye(f.c.size) if np.isscalar(W) else as_matrix(W, "W")
+        S = f._S
         try:
-            pencil = SPDPencil(f.S, W)
+            pencil = SPDPencil(S, _Diagonal(np.full(f.c.size, float(W))) if np.isscalar(W) else W)
         except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
             return partial(_fail, f"quadratic subproblem not SPD: {exc}")
 
@@ -52,13 +56,19 @@ def prepare_prediction(f: ProxOp, W):
             if tau == 1.0:
                 x = pencil.solve(f.c - q, 1.0)
                 return x, x
-            x_tilde = pencil.solve(f.c - q - (1.0 - tau) * (f.S @ anchor), tau)
+            x_tilde = pencil.solve(f.c - q - (1.0 - tau) * (S @ anchor), tau)
             return tau * x_tilde + (1.0 - tau) * anchor, x_tilde
         return solve
-    rho = float(W) if np.isscalar(W) else float(np.trace(W)) / len(W)
-    scalar = np.isscalar(W) or np.max(np.abs(W - rho * np.eye(len(W)))) <= 1e-10 * (1 + abs(rho))
-    if not (scalar and rho > 0.0):
-        got = repr(float(W)) if np.isscalar(W) else f"a weight of shape {np.shape(W)}"
+    if np.isscalar(W):
+        rho, spread = float(W), 0.0
+    elif isinstance(W, _Diagonal):
+        rho = float(np.sum(W.d)) / W.d.size
+        spread = np.max(np.abs(W.d - rho))
+    else:
+        rho = float(np.trace(W)) / len(W)
+        spread = np.max(np.abs(W - rho * np.eye(len(W))))
+    if not (spread <= 1e-10 * (1 + abs(rho)) and rho > 0.0):
+        got = repr(float(W)) if np.isscalar(W) else f"a weight of shape {W.shape}"
         return partial(
             _fail, f"prox subproblem needs a positive scalar quadratic weight, got {got}")
 
@@ -99,6 +109,14 @@ class TwoBlockSpec:
     P defaults to the diagonal-dominant linearization a*I - beta*A1'A1
     with a = 1.01*beta*rho(A1'A1), which keeps the x1 subproblem solvable
     through a plain prox when f1 is not quadratic.
+
+    A1, A2 and a given P are held as linalg._held decides from their
+    entries: a square one that is zero off its diagonal as its diagonal.
+    The Gram matrices, the rank check, the default P, the prepared solves,
+    predict's products and the correction_spec blocks follow from those
+    held forms, so a diagonal coupling (the consensus split A1 = I,
+    A2 = -I) is elementwise throughout and forms no n x n product. The
+    public A1, A2 and P stay dense read-only arrays.
     """
 
     prox_f1: ProxOp
@@ -123,28 +141,41 @@ class TwoBlockSpec:
         _set_finite(self, "beta", "r", "s")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        A1, A2 = _held(self.A1), _held(self.A2)
         with np.errstate(over="ignore", invalid="ignore"):
-            gram1, gram2 = self.A1.T @ self.A1, self.A2.T @ self.A2
+            gram1, gram2 = A1.T @ A1, A2.T @ A2
         for name, gram in (("A1", gram1), ("A2", gram2)):
-            if not np.all(np.isfinite(gram)):
+            if not np.all(np.isfinite(_entries(gram))):
                 raise ValueError(f"{name}'{name} overflows; rescale {name}")
-        if not cholesky_pd_check(gram2).positive_definite:
+        if not (_diagonal_pivots(gram2.d)[0] < 0 if isinstance(gram2, _Diagonal)
+                else cholesky_pd_check(gram2).positive_definite):
             raise ValueError("A2 must have full column rank")
         if self.P is None:
-            a = 1.01 * self.beta * spectral_radius_gram(self.A1)
-            P = a * np.eye(self.n1) - self.beta * gram1
+            a = 1.01 * self.beta * spectral_radius_gram(A1)
+            P = (_Diagonal(a - self.beta * gram1.d) if isinstance(gram1, _Diagonal)
+                 else a * np.eye(self.n1) - self.beta * gram1)
         else:
-            P = as_matrix(self.P, "P")
+            P = _held(as_matrix(self.P, "P"))
             if P.shape != (self.n1, self.n1):
                 raise ValueError("P dimension does not match A1 columns")
-            check_symmetric(P, PD_TOL, "P")
-            if np.min(np.linalg.eigvalsh(P)) < -PD_TOL * (1.0 + np.max(np.abs(P))):
+            if isinstance(P, _Diagonal):
+                low = P.d.min(initial=np.inf)
+            else:
+                check_symmetric(P, PD_TOL, "P")
+                low = np.min(np.linalg.eigvalsh(P))
+            if low < -PD_TOL * (1.0 + np.max(np.abs(_entries(P)))):
                 raise ValueError("P must be positive semidefinite")
-        object.__setattr__(self, "P", _read_only(P))
-        object.__setattr__(self, "_W2", _read_only(self.beta * gram2))
-        object.__setattr__(self, "_solve", (
-            prepare_prediction(self.prox_f1, self.beta * gram1 + P),
-            prepare_prediction(self.prox_f2, self._W2)))
+        if isinstance(gram1, _Diagonal) and isinstance(P, _Diagonal):
+            W1 = _Diagonal(self.beta * gram1.d + P.d)
+        else:
+            W1 = self.beta * _dense(gram1) + _dense(P)
+        W2 = (_Diagonal(self.beta * gram2.d) if isinstance(gram2, _Diagonal)
+              else _read_only(self.beta * gram2))
+        object.__setattr__(self, "P", _read_only(_dense(P)))  # a dense P is held as itself
+        for name, held in (("_A1", A1), ("_A2", A2), ("_P", P), ("_W2", W2)):
+            object.__setattr__(self, name, held)  # the held forms the steps apply
+        object.__setattr__(self, "_solve", (prepare_prediction(self.prox_f1, W1),
+                                            prepare_prediction(self.prox_f2, W2)))
         object.__setattr__(self, "objectives", (self.prox_f1, self.prox_f2))
         object.__setattr__(self, "coupling", ((self.A1, self.A2), self.b))
 
@@ -172,9 +203,18 @@ class TwoBlockSpec:
                 and self.r + self.s > margin)
 
     def correction_spec(self) -> CorrectionSpec:
-        beta, r, s, A2 = self.beta, self.r, self.s, self.A2
-        Q = {(0, 0): self.P, (1, 1): self._W2, (1, 2): -r * A2.T, (2, 1): -A2,
-             (2, 2): 1.0 / beta}
+        """The spec's (Q, M), built on the first call; the data is read-only.
+
+        A diagonal P, W2 or A2 enters as its diagonal (a 1-d block).
+        """
+        return self._correction_spec
+
+    @cached_property
+    def _correction_spec(self) -> CorrectionSpec:
+        beta, r, s = self.beta, self.r, self.s
+        P, W2, A2 = (_entries(op) for op in (self._P, self._W2, self._A2))
+        # A2.T of a 1-d diagonal is itself
+        Q = {(0, 0): P, (1, 1): W2, (1, 2): -r * A2.T, (2, 1): -A2, (2, 2): 1.0 / beta}
         M = {(0, 0): 1.0, (1, 1): 1.0, (2, 1): -s * beta * A2, (2, 2): r + s}
         return CorrectionSpec(Q, M, self.block_dims())
 
@@ -187,15 +227,15 @@ class TwoBlockSpec:
         prev = None if tau == 1.0 else breve_prev  # no anchor at tau = 1
         a1, a2, _ = (None,) * 3 if prev is None else prev.blocks
 
-        q1 = -(self.A1.T @ lam) + self.beta * (self.A1.T @ (self.A2 @ x2 - self.b)) \
-            - self.P @ x1
+        A1, A2 = self._A1, self._A2
+        q1 = -(A1.T @ lam) + self.beta * (A1.T @ (A2 @ x2 - self.b)) - self._P @ x1
         b1, t1 = self._solve[0](q1, tau, a1)
 
-        slack = self.A1 @ t1 + self.A2 @ x2 - self.b
+        slack = A1 @ t1 + A2 @ x2 - self.b
         lam_tilde = lam - self.beta * slack
         lam_half = lam - self.r * self.beta * slack
 
-        q2 = -(self.A2.T @ lam_half) + self.beta * (self.A2.T @ (self.A1 @ t1 - self.b))
+        q2 = -(A2.T @ lam_half) + self.beta * (A2.T @ (A1 @ t1 - self.b))
         b2, t2 = self._solve[1](q2, tau, a2)
         names = self.block_names()
         w_tilde = BlockVector(names, (t1, t2, lam_tilde))
@@ -265,7 +305,14 @@ class MultiBlockSpec:
         return margin < self.alpha < 1.0 - margin
 
     def correction_spec(self) -> CorrectionSpec:
-        """Scalar blocks on the image blocks: Q lower triangular plus the last column."""
+        """Scalar blocks on the image blocks: Q lower triangular plus the last column.
+
+        Built on the first call; the data is read-only.
+        """
+        return self._correction_spec
+
+    @cached_property
+    def _correction_spec(self) -> CorrectionSpec:
         m, alpha = self.m, self.alpha
         Q = {(i, j): 1.0 for i in range(m) for j in (*range(i + 1), m)}
         Q[m, m] = 1.0
@@ -362,6 +409,11 @@ class SaddleSpec:
         return 0.0 <= self.alpha <= 1.0 and self.r * self.s > bound + margin
 
     def correction_spec(self) -> CorrectionSpec:
+        """The spec's (Q, M), built on the first call; the data is read-only."""
+        return self._correction_spec
+
+    @cached_property
+    def _correction_spec(self) -> CorrectionSpec:
         A = self.A
         Q = {(0, 0): self.r, (0, 1): A.T, (1, 0): self.alpha * A, (1, 1): self.s}
         M = {(0, 0): 1.0, (1, 1): 1.0, (1, 0): -((1.0 - self.alpha) / self.s) * A}

@@ -475,6 +475,32 @@ def test_run_loop_holds_no_dense_matrix():
 
 
 @pytest.mark.parametrize("mode", ["baseline", "faster"])
+def test_diagonal_consensus_run_holds_no_dense_matrix(mode):
+    # A1 = I, A2 = -I, P and S = I are held as diagonals, so neither the
+    # correction spec built inside run, its certificate, the pencils nor
+    # the loop's products form an n x n array
+    inst = make_two_block_l1(0, 400, 0.5)
+    dim = sum(inst.spec.block_dims())
+    tracemalloc.start()
+    try:
+        assert len(run(inst, mode, 20).records) == 20
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * dim * dim
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_two_block_l1(0, 5, 0.5),
+    lambda: make_multiblock_quadratic(0, 3, 2, 3),
+    lambda: make_saddle_quadratic(0, 4, 3),
+], ids=["two-block", "multi-block", "saddle"])
+def test_correction_spec_is_built_once(build):
+    spec = build().spec
+    assert spec.correction_spec() is spec.correction_spec()
+
+
+@pytest.mark.parametrize("mode", ["baseline", "faster"])
 def test_run_divergence_ends_in_failure(mode):
     # steps far outside the certified region blow the iterates up; the run
     # stops at the first overflow and keeps every finite row before it

@@ -113,3 +113,52 @@ def test_spectral_radius_gram_second_start():
     np.testing.assert_allclose(G, [[2.0, -1.0], [-1.0, 2.0]])
     assert spectral_radius_gram(A) == pytest.approx(3.0, rel=1e-9)
 
+
+
+def _diagonal_draw(rng, n):
+    # entries of both signs, with some exact zeros
+    d = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, size=n)
+    d[rng.random(n) < 0.2] = 0.0
+    return d
+
+
+def _outcome(call):
+    """(value, None) of call(), or (None, (type, message prefix, pivot index)) if it raised."""
+    try:
+        return call(), None
+    except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
+        prefix = str(exc).split(":")[0].split(" below")[0]
+        return None, (type(exc), prefix, getattr(exc, "pivot_index", None), exc)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_diagonal_path_matches_dense_path(seed):
+    # a _Diagonal S, W or A takes the elementwise path; the same matrices as
+    # arrays take the dense one. Both agree to 1e-12 relative, and a pencil
+    # that is refused is refused alike: same error, message and pivot.
+    from predcorr.linalg import _Diagonal
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    s, w = _diagonal_draw(rng, n), _diagonal_draw(rng, n)
+    if seed % 2:  # mostly positive, so that most pencils are SPD
+        s, w = np.abs(s), np.abs(w) + 0.1 * rng.random(n)
+    assert spectral_radius_gram(_Diagonal(s)) == pytest.approx(
+        spectral_radius_gram(np.diag(s)), rel=1e-12, abs=0.0)
+
+    diag, dense = (_outcome(lambda: SPDPencil(*ops)) for ops in (
+        (_Diagonal(s), _Diagonal(w)), (np.diag(s), np.diag(w))))
+    if dense[1] is not None:
+        assert diag[1] is not None
+        assert diag[1][:3] == dense[1][:3]
+        if isinstance(dense[1][3], NotPositiveDefiniteError):
+            assert diag[1][3].pivot_value == pytest.approx(
+                dense[1][3].pivot_value, rel=1e-12, abs=0.0)
+        return
+    assert diag[1] is None
+    assert diag[0].V is None and dense[0].V is not None
+    np.testing.assert_allclose(np.sort(diag[0].d), dense[0].d, rtol=1e-12, atol=1e-15)
+    rhs = rng.normal(size=n)
+    for tau in (1.0, 0.5, 1e-3):
+        want = dense[0].solve(rhs, tau)
+        np.testing.assert_allclose(diag[0].solve(rhs, tau), want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))

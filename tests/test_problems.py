@@ -45,6 +45,32 @@ def test_splitmix64_determinism_and_range():
     np.testing.assert_array_equal(m, SplitMix64(7).vector(12).reshape(3, 4))
 
 
+def _splitmix64_words(seed, n):
+    """The reference stream, one Python-int word at a time."""
+    mask, state, out = (1 << 64) - 1, seed & ((1 << 64) - 1), []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2 ** 63 + 12345, 2 ** 64 - 1])
+def test_splitmix64_draws_match_the_one_word_reference(seed):
+    # vector draws many words at once (counter-based); the stream, the
+    # mapping into [-1, 1] and the state carried between calls are the
+    # word-at-a-time reference's, bit for bit
+    words = _splitmix64_words(seed, 60)
+    want = np.array([2.0 * ((z >> 11) * 2.0 ** -53) - 1.0 for z in words])
+    rng = SplitMix64(seed)
+    got = np.concatenate([rng.vector(7), [rng.uniform()], rng.matrix(4, 5).ravel(),
+                          rng.vector(0), rng.vector(31)])
+    assert got.tobytes() == want[:59].tobytes()
+    assert rng.next_uint64() == words[59]
+
+
 # ---------------------------------------------------------------------------
 # generators and their oracles
 
@@ -327,27 +353,37 @@ def test_document_round_trip(build):
     # documents survive the JSON text layer unchanged
     import json
     assert instance_to_document(back) == json.loads(json.dumps(doc))
+    # the held forms are decided from the data, so a read-back spec takes
+    # the original's path (the consensus split: diagonal throughout)
+    if inst.family == "two-block":
+        for name in ("_A1", "_A2", "_P", "_W2"):
+            assert type(getattr(back.spec, name)) is type(getattr(inst.spec, name))
 
 
 
 HELD = ("A1", "A2", "b", "P", "_W2", "A_i", "multi-block b", "A", "S", "c", "V", "d",
-        "_F_star", "lo", "hi", "Q block", "M block")
+        "_F_star", "lo", "hi", "Q block", "M block", "diagonal P", "diagonal _W2",
+        "diagonal pencil s", "diagonal pencil w", "diagonal pencil d")
 
 
 def _held_array(name):
     # one array of each kind that a spec, a ProxOp or an instance holds
-    from predcorr.linalg import SPDPencil
+    from predcorr.linalg import SPDPencil, _Diagonal
     two = make_two_block_quadratic(0, 4, 3, 5).spec
     multi = make_multiblock_quadratic(0, 3, 2, 3).spec
     saddle = make_saddle_quadratic(0, 6, 4)
     pencil = SPDPencil(np.eye(2), np.eye(2))
+    diagonal = SPDPencil(_Diagonal(np.ones(2)), _Diagonal(np.full(2, 0.5)))
+    l1 = make_two_block_l1(0, 3, 0.5).spec  # held as diagonals
     box = BoxIndicator(np.zeros(3), np.ones(3))
     cspec = two.correction_spec()
     return {"A1": two.A1, "A2": two.A2, "b": two.b, "P": two.P, "_W2": two._W2,
             "A_i": multi.A_i[0], "multi-block b": multi.b, "A": saddle.spec.A,
             "S": saddle.spec.prox_f.S, "c": saddle.spec.prox_f.c, "V": pencil.V,
             "d": pencil.d, "_F_star": saddle._F_star, "lo": box.lo, "hi": box.hi,
-            "Q block": cspec.Q.blocks[0], "M block": cspec.M.blocks[0]}[name]
+            "Q block": cspec.Q.blocks[0], "M block": cspec.M.blocks[0],
+            "diagonal P": l1._P.d, "diagonal _W2": l1._W2.d, "diagonal pencil s": diagonal.s,
+            "diagonal pencil w": diagonal.w, "diagonal pencil d": diagonal.d}[name]
 
 
 @pytest.mark.parametrize("name", HELD)
