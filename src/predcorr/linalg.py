@@ -193,8 +193,12 @@ def cholesky_pd_check(S) -> PDResult:
 
 
 def _diagonal_pivots(b: np.ndarray) -> tuple:
-    """(first, value) of diag(b)'s Cholesky pivots, b its entries: first is -1 when
-    every b_i exceeds PD_TOL * (1 + max b), else the first index at or below it."""
+    """(first, value) of the Cholesky pivots of diag(b), which are b's entries.
+
+    first is -1 when every b_i exceeds PD_TOL * (1 + max b), the threshold
+    of cholesky_pd_check; otherwise it is the first index at or below it,
+    and value is that b_i.
+    """
     low = np.flatnonzero(~(b > PD_TOL * (1.0 + b.max(initial=-np.inf))))
     return (int(low[0]), float(b[low[0]])) if low.size else (-1, 0.0)
 

@@ -35,7 +35,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 class SplitMix64:
     """splitmix64 stream: z = seed += 0x9E3779B97F4A7C15, then two xor-mul mixes.
 
-    The stream is counter-based: word k of the stream mixes
+    The stream is counter-based: word k = 1, 2, ... of the stream mixes
     seed + k * 0x9E3779B97F4A7C15 (mod 2^64), so n words are drawn at once
     as numpy uint64 arithmetic, which wraps mod 2^64 as the reference does.
     """
@@ -46,7 +46,7 @@ class SplitMix64:
     def _words(self, n: int) -> np.ndarray:
         """The next n 64-bit words, as uint64."""
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
-        self._state = (self._state + n * _GAMMA) & _MASK64
+        self._state = (self._state + int(n) * _GAMMA) & _MASK64
         z ^= z >> np.uint64(30)
         z *= np.uint64(0xBF58476D1CE4E5B9)
         z ^= z >> np.uint64(27)

@@ -43,12 +43,14 @@ def prepare_prediction(f: ProxOp, W):
     any other f through its prox at the scalar weight decided here. A subproblem
     that cannot be prepared gets a solve raising the SubproblemError saying why.
     """
-    if not (np.isscalar(W) or isinstance(W, _Diagonal)):
-        W = as_matrix(W, "W")
     if isinstance(f, QuadraticCost):
         S = f._S
+        if np.isscalar(W):
+            W = _Diagonal(np.full(f.c.size, float(W)))
+        elif not isinstance(W, _Diagonal):
+            W = as_matrix(W, "W")
         try:
-            pencil = SPDPencil(S, _Diagonal(np.full(f.c.size, float(W))) if np.isscalar(W) else W)
+            pencil = SPDPencil(S, W)
         except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
             return partial(_fail, f"quadratic subproblem not SPD: {exc}")
 
@@ -65,6 +67,7 @@ def prepare_prediction(f: ProxOp, W):
         rho = float(np.sum(W.d)) / W.d.size
         spread = np.max(np.abs(W.d - rho))
     else:
+        W = np.asarray(W)
         rho = float(np.trace(W)) / len(W)
         spread = np.max(np.abs(W - rho * np.eye(len(W))))
     if not (spread <= 1e-10 * (1 + abs(rho)) and rho > 0.0):

@@ -353,11 +353,16 @@ def test_document_round_trip(build):
     # documents survive the JSON text layer unchanged
     import json
     assert instance_to_document(back) == json.loads(json.dumps(doc))
-    # the held forms are decided from the data, so a read-back spec takes
-    # the original's path (the consensus split: diagonal throughout)
-    if inst.family == "two-block":
-        for name in ("_A1", "_A2", "_P", "_W2"):
-            assert type(getattr(back.spec, name)) is type(getattr(inst.spec, name))
+
+
+def test_read_back_document_takes_the_diagonal_path():
+    # the document holds dense arrays, and the held forms are decided from
+    # their entries, so the consensus split reads back as diagonals
+    from predcorr.linalg import _Diagonal
+    back = instance_from_document(instance_to_document(make_two_block_l1(2, 3, 0.4)))
+    for name in ("_A1", "_A2", "_P", "_W2"):
+        assert isinstance(getattr(back.spec, name), _Diagonal), name
+    assert isinstance(back.spec.prox_f2._S, _Diagonal)
 
 
 
