@@ -131,17 +131,26 @@ def _outcome(call):
         return None, (type(exc), prefix, getattr(exc, "pivot_index", None), exc)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_diagonal_path_matches_dense_path(seed):
+# pivots just above and at the PD_TOL threshold, and d just above 1 + PD_TOL
+EDGES = [([1.0, 3e-10], [0.0, 0.0]), ([1.0, 1e-10], [0.0, 0.0]),
+         ([1.0, 1.0], [0.0, -1e-12]), ([1.0, 1.0], [0.0, -1e-9])]
+
+
+@pytest.mark.parametrize("case", [*range(40), *EDGES])
+def test_diagonal_path_matches_dense_path(case):
     # a _Diagonal S, W or A takes the elementwise path; the same matrices as
     # arrays take the dense one. Both agree to 1e-12 relative, and a pencil
     # that is refused is refused alike: same error, message and pivot.
     from predcorr.linalg import _Diagonal
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 8))
-    s, w = _diagonal_draw(rng, n), _diagonal_draw(rng, n)
-    if seed % 2:  # mostly positive, so that most pencils are SPD
-        s, w = np.abs(s), np.abs(w) + 0.1 * rng.random(n)
+    rng = np.random.default_rng(case if isinstance(case, int) else 0)
+    if isinstance(case, int):
+        n = int(rng.integers(1, 8))
+        s, w = _diagonal_draw(rng, n), _diagonal_draw(rng, n)
+        if case % 2:  # mostly positive, so that most pencils are SPD
+            s, w = np.abs(s), np.abs(w) + 0.1 * rng.random(n)
+    else:
+        s, w = map(np.array, case)
+        n = s.size
     assert spectral_radius_gram(_Diagonal(s)) == pytest.approx(
         spectral_radius_gram(np.diag(s)), rel=1e-12, abs=0.0)
 
