@@ -12,7 +12,10 @@ decided from the data where it enters:
 - A square matrix that is zero off its diagonal is held as its diagonal
   (_held, _Diagonal): its products, its Gram matrix, its spectral norm and
   a pencil whose S and W are both diagonal are elementwise, and no n x n
-  array is formed from it. Any other matrix stays a dense array.
+  array is formed from it. Any other matrix stays a dense array. Other
+  modules use a held matrix through the operators an array has (@, +, -,
+  scalar *, .T) and the helpers here that answer for either form, so
+  only this module reads the diagonal.
 - A matrix given as blocks on a partition of its indices (_Blocks: dense,
   diagonal or scalar blocks) that falls apart into connected components
   of its nonzero pattern is labelled from the blocks' nonzero entries
@@ -71,8 +74,12 @@ def _checked(a, ndim: int, name: str) -> np.ndarray:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, marked read-only: data that is validated once must not change afterwards."""
-    a.setflags(write=False)
+    """a, marked read-only: data that is validated once must not change afterwards.
+
+    A _Diagonal is returned as it is; its diagonal is read-only already.
+    """
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
     return a
 
 
@@ -89,10 +96,16 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 class _Diagonal:
     """A square matrix that is zero off its diagonal, held as its diagonal d (read-only).
 
-    op @ x is d * x for a vector x, and a _Diagonal for a _Diagonal x, so
-    op.T @ op is its Gram matrix; op.T is op. No n x n array is formed
-    unless _dense asks for one.
+    It takes part in the arithmetic that set-up does on matrices, so that
+    code reads the same for both forms: op @ x is d * x for a vector x, and
+    a _Diagonal for a _Diagonal x, so op.T @ op is its Gram matrix (op.T is
+    op); op + X and op - X are a _Diagonal for a _Diagonal X and the dense
+    array for an array X, on either side; c * op and -op scale d; and
+    diagonal() and trace() answer as an array's do. No n x n array is
+    formed unless an array is added or _dense asks for one.
     """
+
+    __array_ufunc__ = None  # an array on the left defers to the reflected methods here
 
     def __init__(self, d: np.ndarray):
         self.d = _read_only(d)
@@ -105,18 +118,49 @@ class _Diagonal:
     def T(self) -> "_Diagonal":
         return self
 
+    def diagonal(self) -> np.ndarray:
+        return self.d
+
+    def trace(self):
+        return self.d.sum()
+
     def __matmul__(self, x):
         if isinstance(x, _Diagonal):
             return _Diagonal(self.d * x.d)
         return self.d * x
+
+    def __add__(self, other):
+        if isinstance(other, _Diagonal):
+            return _Diagonal(self.d + other.d)
+        return np.diag(self.d) + other
+
+    def __radd__(self, other):
+        return other + np.diag(self.d)
+
+    def __sub__(self, other):
+        if isinstance(other, _Diagonal):
+            return _Diagonal(self.d - other.d)
+        return np.diag(self.d) - other
+
+    def __rsub__(self, other):
+        return other - np.diag(self.d)
+
+    def __mul__(self, c):
+        return _Diagonal(self.d * c)
+
+    def __rmul__(self, c):
+        return _Diagonal(c * self.d)
+
+    def __neg__(self):
+        return _Diagonal(-self.d)
 
 
 def _held(A: np.ndarray):
     """A square 2-d array that is zero off its diagonal as a _Diagonal, else A as it is.
 
     The one check that decides the diagonal path. It runs where problem
-    data enters (a spec's matrices, a quadratic's S, an instance's
-    coupling); what is derived from held data keeps its form.
+    data enters (a spec's matrices, a quadratic's S); what is derived from
+    held data keeps its form.
     """
     if (A.ndim == 2 and A.shape[0] == A.shape[1]
             and np.count_nonzero(A) == np.count_nonzero(A.diagonal())):
@@ -132,6 +176,35 @@ def _entries(op) -> np.ndarray:
 def _dense(op) -> np.ndarray:
     """A held matrix as an array: np.diag of a _Diagonal's diagonal, or the array."""
     return np.diag(op.d) if isinstance(op, _Diagonal) else op
+
+
+def _positive_definite(op) -> bool:
+    """cholesky_pd_check's verdict on a held matrix; a diagonal's pivots are its entries."""
+    if isinstance(op, _Diagonal):
+        return _diagonal_pivots(op.d)[0] < 0
+    return cholesky_pd_check(op).positive_definite
+
+
+def _smallest_eigenvalue(op) -> float:
+    """The smallest eigenvalue of a symmetric held matrix: a diagonal's smallest entry."""
+    if isinstance(op, _Diagonal):
+        return float(op.d.min(initial=np.inf))
+    return float(np.min(np.linalg.eigvalsh(op)))
+
+
+def _identity_fit(W) -> tuple:
+    """(rho, spread) of a weight W against rho*I: rho = trace(W) / n, spread = max |W - rho I|.
+
+    W is a scalar (rho itself, spread 0), an array or a _Diagonal.
+    """
+    if np.isscalar(W):
+        return float(W), 0.0
+    if isinstance(W, _Diagonal):
+        rho = float(W.trace()) / W.d.size
+        return rho, np.max(np.abs(W.d - rho))
+    W = np.asarray(W)
+    rho = float(np.trace(W)) / len(W)
+    return rho, np.max(np.abs(W - rho * np.eye(len(W))))
 
 
 def check_symmetric(S: np.ndarray, tol: float, name: str = "matrix") -> None:
@@ -275,7 +348,8 @@ class _Blocks:
 
     blocks maps (i, j) to the block on rows i and columns j of the
     partition dims: a 2-d array of shape (dims[i], dims[j]), or, for
-    dims[i] == dims[j], a 1-d array (the diagonal) or a scalar c (c I).
+    dims[i] == dims[j], a 1-d array or a _Diagonal (the diagonal) or a
+    scalar c (c I).
     Absent blocks are zero. The matrix is read from its blocks (edges,
     stacked, dense), never formed unless asked for (dense).
     """
@@ -288,7 +362,7 @@ class _Blocks:
             if not (0 <= i < len(dims) and 0 <= j < len(dims)):
                 raise ValueError(f"{name} block ({i}, {j}) is outside {len(dims)} blocks")
             if not isinstance(block, float):  # a float, the common block, skips numpy
-                block = np.asarray(block, dtype=float)
+                block = np.asarray(_entries(block), dtype=float)
                 if block.ndim == 0:
                     block = float(block)
             got = () if isinstance(block, float) else block.shape
@@ -480,10 +554,11 @@ def spectral_radius_gram(A) -> float:
     depend on a start vector: 0.0 exactly for the zero matrix, inf on overflow.
     A _Diagonal A (see _held) gives max d_i^2 without a decomposition.
     """
-    A = A if isinstance(A, _Diagonal) else as_matrix(A, "A")
-    if not np.any(_entries(A)):
+    if isinstance(A, _Diagonal):
+        with np.errstate(over="ignore"):
+            return float(np.max(A.d ** 2, initial=0.0))
+    A = as_matrix(A, "A")
+    if not np.any(A):
         return 0.0
     with np.errstate(over="ignore"):
-        if isinstance(A, _Diagonal):
-            return float(np.max(A.d ** 2))
         return float(np.linalg.norm(A, 2) ** 2)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
-from .linalg import _held, _read_only, as_matrix, cholesky_pd_check, spectral_radius_gram
+from .linalg import _read_only, as_matrix, cholesky_pd_check, spectral_radius_gram
 from .prox import L1Penalty, ProxOp, QuadraticCost, SimplexIndicator, soft_threshold
 from .solvers import MultiBlockSpec, SaddleSpec, TwoBlockSpec
 
@@ -84,9 +84,9 @@ class VariationalInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        # F and the residual apply the coupling matrices as linalg._held holds them
-        As, b = self.spec.coupling
-        object.__setattr__(self, "_coupling", (tuple(_held(A) for A in As), b))
+        # F and the residual apply the coupling as a shipped spec holds it
+        # (linalg._held, decided where the spec took its matrices)
+        object.__setattr__(self, "_coupling", getattr(self.spec, "_coupling", self.spec.coupling))
         if self.w_star is None:
             return
         zero = BlockVector.zeros(self.spec.block_names(), self.spec.block_dims())

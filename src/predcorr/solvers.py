@@ -4,7 +4,10 @@ Each family bundles its data in a frozen spec carrying the matrix pair
 (Q, M) of its scheme plus the prediction subproblems. A spec also holds its
 family name, its objectives (ProxOps in block order) and its coupling
 (As, b), the constraint sum_i A_i x_i = b (b is None for the saddle's
-bilinear term); problems.VariationalInstance derives theta and F from them.
+bilinear term); problems.VariationalInstance derives theta and F from them,
+applying the coupling matrices in the form linalg._held decided for them
+when the spec took them (_coupling). Each spec builds its CorrectionSpec
+once, in its constructor, and correction_spec() returns that one.
 Every subproblem this package ships reduces to the inclusion
 
     0 in  df(x_breve) + W x_tilde + q,    x_breve = tau x_tilde + (1-tau) anchor
@@ -22,35 +25,33 @@ multiplier from its scaled image blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from .blocks import BlockVector
 from .framework import CorrectionSpec, SubproblemError
-from .linalg import (PD_TOL, NotPositiveDefiniteError, SPDPencil, _dense, _Diagonal,
-                     _diagonal_pivots, _entries, _held, _read_only, as_matrix, as_vector,
-                     check_symmetric, cholesky_pd_check, spectral_radius_gram)
+from .linalg import (PD_TOL, NotPositiveDefiniteError, SPDPencil, _dense, _Diagonal, _entries,
+                     _held, _identity_fit, _positive_definite, _read_only,
+                     _smallest_eigenvalue, as_matrix, as_vector, check_symmetric,
+                     spectral_radius_gram)
 from .prox import ProxOp, QuadraticCost
 
 
 def prepare_prediction(f: ProxOp, W):
     """Prepare 0 in df(x_breve) + W x_tilde + q once; return its unchecked solve.
 
-    W is a matrix (an array, or a linalg._Diagonal held as its diagonal) or a
-    scalar rho for rho*I, which is diagonal. solve(q, tau, anchor) gives
-    (x_breve, x_tilde) at any tau: a quadratic f solves through its SPDPencil,
-    any other f through its prox at the scalar weight decided here. A subproblem
-    that cannot be prepared gets a solve raising the SubproblemError saying why.
+    W is a matrix (an array, or a held linalg._Diagonal) or a scalar rho for
+    rho*I. solve(q, tau, anchor) gives (x_breve, x_tilde) at any tau: a
+    quadratic f solves through its SPDPencil, any other f through its prox at
+    the scalar weight decided here. A subproblem that cannot be prepared gets
+    a solve raising the SubproblemError saying why.
     """
     if isinstance(f, QuadraticCost):
-        S = f._S
         if np.isscalar(W):
             W = _Diagonal(np.full(f.c.size, float(W)))
-        elif not isinstance(W, _Diagonal):
-            W = as_matrix(W, "W")
         try:
-            pencil = SPDPencil(S, W)
+            pencil = SPDPencil(f._S, W)
         except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
             return partial(_fail, f"quadratic subproblem not SPD: {exc}")
 
@@ -58,20 +59,12 @@ def prepare_prediction(f: ProxOp, W):
             if tau == 1.0:
                 x = pencil.solve(f.c - q, 1.0)
                 return x, x
-            x_tilde = pencil.solve(f.c - q - (1.0 - tau) * (S @ anchor), tau)
+            x_tilde = pencil.solve(f.c - q - (1.0 - tau) * (f._S @ anchor), tau)
             return tau * x_tilde + (1.0 - tau) * anchor, x_tilde
         return solve
-    if np.isscalar(W):
-        rho, spread = float(W), 0.0
-    elif isinstance(W, _Diagonal):
-        rho = float(np.sum(W.d)) / W.d.size
-        spread = np.max(np.abs(W.d - rho))
-    else:
-        W = np.asarray(W)
-        rho = float(np.trace(W)) / len(W)
-        spread = np.max(np.abs(W - rho * np.eye(len(W))))
+    rho, spread = _identity_fit(W)
     if not (spread <= 1e-10 * (1 + abs(rho)) and rho > 0.0):
-        got = repr(float(W)) if np.isscalar(W) else f"a weight of shape {W.shape}"
+        got = repr(float(W)) if np.isscalar(W) else f"a weight of shape {np.shape(W)}"
         return partial(
             _fail, f"prox subproblem needs a positive scalar quadratic weight, got {got}")
 
@@ -150,37 +143,29 @@ class TwoBlockSpec:
         for name, gram in (("A1", gram1), ("A2", gram2)):
             if not np.all(np.isfinite(_entries(gram))):
                 raise ValueError(f"{name}'{name} overflows; rescale {name}")
-        if not (_diagonal_pivots(gram2.d)[0] < 0 if isinstance(gram2, _Diagonal)
-                else cholesky_pd_check(gram2).positive_definite):
+        if not _positive_definite(gram2):
             raise ValueError("A2 must have full column rank")
         if self.P is None:
             a = 1.01 * self.beta * spectral_radius_gram(A1)
-            P = (_Diagonal(a - self.beta * gram1.d) if isinstance(gram1, _Diagonal)
-                 else a * np.eye(self.n1) - self.beta * gram1)
+            P = _Diagonal(np.full(self.n1, a)) - self.beta * gram1
+            object.__setattr__(self, "P", _read_only(_dense(P)))
         else:
-            P = _held(as_matrix(self.P, "P"))
-            if P.shape != (self.n1, self.n1):
+            object.__setattr__(self, "P", as_matrix(self.P, "P"))
+            if self.P.shape != (self.n1, self.n1):
                 raise ValueError("P dimension does not match A1 columns")
-            if isinstance(P, _Diagonal):
-                low = P.d.min(initial=np.inf)
-            else:
-                check_symmetric(P, PD_TOL, "P")
-                low = np.min(np.linalg.eigvalsh(P))
-            if low < -PD_TOL * (1.0 + np.max(np.abs(_entries(P)))):
+            check_symmetric(self.P, PD_TOL, "P")
+            P = _held(self.P)
+            if _smallest_eigenvalue(P) < -PD_TOL * (1.0 + np.max(np.abs(self.P))):
                 raise ValueError("P must be positive semidefinite")
-        if isinstance(gram1, _Diagonal) and isinstance(P, _Diagonal):
-            W1 = _Diagonal(self.beta * gram1.d + P.d)
-        else:
-            W1 = self.beta * _dense(gram1) + _dense(P)
-        W2 = (_Diagonal(self.beta * gram2.d) if isinstance(gram2, _Diagonal)
-              else _read_only(self.beta * gram2))
-        object.__setattr__(self, "P", _read_only(_dense(P)))  # a dense P is held as itself
+        W2 = _read_only(self.beta * gram2)
         for name, held in (("_A1", A1), ("_A2", A2), ("_P", P), ("_W2", W2)):
             object.__setattr__(self, name, held)  # the held forms the steps apply
-        object.__setattr__(self, "_solve", (prepare_prediction(self.prox_f1, W1),
+        object.__setattr__(self, "_solve", (prepare_prediction(self.prox_f1, self.beta * gram1 + P),
                                             prepare_prediction(self.prox_f2, W2)))
         object.__setattr__(self, "objectives", (self.prox_f1, self.prox_f2))
         object.__setattr__(self, "coupling", ((self.A1, self.A2), self.b))
+        object.__setattr__(self, "_coupling", ((A1, A2), self.b))
+        object.__setattr__(self, "_cspec", self._build_correction_spec())
 
     @property
     def n1(self) -> int:
@@ -206,18 +191,13 @@ class TwoBlockSpec:
                 and self.r + self.s > margin)
 
     def correction_spec(self) -> CorrectionSpec:
-        """The spec's (Q, M), built on the first call; the data is read-only.
+        """The spec's (Q, M), built once by the constructor; the data is read-only."""
+        return self._cspec
 
-        A diagonal P, W2 or A2 enters as its diagonal (a 1-d block).
-        """
-        return self._correction_spec
-
-    @cached_property
-    def _correction_spec(self) -> CorrectionSpec:
-        beta, r, s = self.beta, self.r, self.s
-        P, W2, A2 = (_entries(op) for op in (self._P, self._W2, self._A2))
-        # A2.T of a 1-d diagonal is itself
-        Q = {(0, 0): P, (1, 1): W2, (1, 2): -r * A2.T, (2, 1): -A2, (2, 2): 1.0 / beta}
+    def _build_correction_spec(self) -> CorrectionSpec:
+        beta, r, s, A2 = self.beta, self.r, self.s, self._A2
+        Q = {(0, 0): self._P, (1, 1): self._W2, (1, 2): -r * A2.T, (2, 1): -A2,
+             (2, 2): 1.0 / beta}
         M = {(0, 0): 1.0, (1, 1): 1.0, (2, 1): -s * beta * A2, (2, 2): r + s}
         return CorrectionSpec(Q, M, self.block_dims())
 
@@ -289,6 +269,8 @@ class MultiBlockSpec:
             prepare_prediction(f, self.beta * (A.T @ A)) for f, A in zip(fs, mats)))
         object.__setattr__(self, "objectives", fs)
         object.__setattr__(self, "coupling", (mats, self.b))
+        object.__setattr__(self, "_coupling", (tuple(_held(A) for A in mats), self.b))
+        object.__setattr__(self, "_cspec", self._build_correction_spec())
 
     @property
     def m(self) -> int:
@@ -310,12 +292,11 @@ class MultiBlockSpec:
     def correction_spec(self) -> CorrectionSpec:
         """Scalar blocks on the image blocks: Q lower triangular plus the last column.
 
-        Built on the first call; the data is read-only.
+        Built once by the constructor; the data is read-only.
         """
-        return self._correction_spec
+        return self._cspec
 
-    @cached_property
-    def _correction_spec(self) -> CorrectionSpec:
+    def _build_correction_spec(self) -> CorrectionSpec:
         m, alpha = self.m, self.alpha
         Q = {(i, j): 1.0 for i in range(m) for j in (*range(i + 1), m)}
         Q[m, m] = 1.0
@@ -389,8 +370,10 @@ class SaddleSpec:
             raise ValueError("r and s must be positive")
         object.__setattr__(self, "objectives", (self.prox_f, self.prox_g))
         object.__setattr__(self, "coupling", ((self.A,), None))
+        object.__setattr__(self, "_coupling", ((_held(self.A),), None))
         object.__setattr__(self, "_solve", (prepare_prediction(self.prox_f, self.r),
                                             prepare_prediction(self.prox_g, self.s)))
+        object.__setattr__(self, "_cspec", self._build_correction_spec())
 
     @property
     def n_primal(self) -> int:
@@ -412,11 +395,10 @@ class SaddleSpec:
         return 0.0 <= self.alpha <= 1.0 and self.r * self.s > bound + margin
 
     def correction_spec(self) -> CorrectionSpec:
-        """The spec's (Q, M), built on the first call; the data is read-only."""
-        return self._correction_spec
+        """The spec's (Q, M), built once by the constructor; the data is read-only."""
+        return self._cspec
 
-    @cached_property
-    def _correction_spec(self) -> CorrectionSpec:
+    def _build_correction_spec(self) -> CorrectionSpec:
         A = self.A
         Q = {(0, 0): self.r, (0, 1): A.T, (1, 0): self.alpha * A, (1, 1): self.s}
         M = {(0, 0): 1.0, (1, 1): 1.0, (1, 0): -((1.0 - self.alpha) / self.s) * A}

@@ -171,3 +171,30 @@ def test_diagonal_path_matches_dense_path(case):
         want = dense[0].solve(rhs, tau)
         np.testing.assert_allclose(diag[0].solve(rhs, tau), want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_diagonal_operators_match_arrays(seed):
+    # set-up applies +, -, scalar *, @ and .T to a held matrix whatever its
+    # form; on a _Diagonal they give the entries the arrays give, bit for
+    # bit, and stay diagonal unless an array takes part
+    from predcorr.linalg import (_dense, _Diagonal, _identity_fit, _positive_definite,
+                                 _smallest_eigenvalue)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    p, q = _diagonal_draw(rng, n), _diagonal_draw(rng, n)
+    P, Q, Dp, Dq = _Diagonal(p), _Diagonal(q), np.diag(p), np.diag(q)
+    X, x, c = rng.normal(size=(n, n)), rng.normal(size=n), float(rng.normal())
+    for got, want in ((P + Q, Dp + Dq), (P - Q, Dp - Dq), (c * P, c * Dp), (P * c, Dp * c),
+                      (np.float64(c) * P, c * Dp), (-P, -Dp), (P.T @ Q, Dp.T @ Dq)):
+        assert isinstance(got, _Diagonal)
+        np.testing.assert_array_equal(_dense(got), want)
+    for got, want in ((P + X, Dp + X), (X + P, X + Dp), (P - X, Dp - X), (X - P, X - Dp)):
+        assert type(got) is np.ndarray
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(P @ x, Dp @ x)
+    np.testing.assert_array_equal(P.diagonal(), Dp.diagonal())
+    assert P.trace() == Dp.trace() and P.shape == Dp.shape
+    assert _identity_fit(P) == _identity_fit(Dp)
+    assert _positive_definite(P) == _positive_definite(Dp)
+    assert _smallest_eigenvalue(P) == pytest.approx(_smallest_eigenvalue(Dp), rel=1e-12)

@@ -366,6 +366,17 @@ def test_read_back_document_takes_the_diagonal_path():
 
 
 
+def test_instance_applies_the_coupling_its_spec_holds():
+    # the diagonal path is decided once, where a spec takes its matrices;
+    # the instance's F and residual reuse those held forms
+    from predcorr.linalg import _Diagonal
+    for inst in (make_two_block_l1(0, 4, 0.5), make_two_block_quadratic(0, 4, 3, 5),
+                 make_multiblock_quadratic(0, 3, 2, 3), make_saddle_quadratic(0, 6, 4)):
+        assert inst._coupling is inst.spec._coupling
+    As, _ = make_two_block_l1(0, 4, 0.5)._coupling
+    assert all(isinstance(A, _Diagonal) for A in As)
+
+
 HELD = ("A1", "A2", "b", "P", "_W2", "A_i", "multi-block b", "A", "S", "c", "V", "d",
         "_F_star", "lo", "hi", "Q block", "M block", "diagonal P", "diagonal _W2",
         "diagonal pencil s", "diagonal pencil w", "diagonal pencil d")
