@@ -160,8 +160,9 @@ class TwoBlockSpec:
         W2 = _read_only(self.beta * gram2)
         for name, held in (("_A1", A1), ("_A2", A2), ("_P", P), ("_W2", W2)):
             object.__setattr__(self, name, held)  # the held forms the steps apply
-        object.__setattr__(self, "_solve", (prepare_prediction(self.prox_f1, self.beta * gram1 + P),
-                                            prepare_prediction(self.prox_f2, W2)))
+        object.__setattr__(self, "_solve", (
+            prepare_prediction(self.prox_f1, self.beta * gram1 + P),
+            prepare_prediction(self.prox_f2, W2)))
         object.__setattr__(self, "objectives", (self.prox_f1, self.prox_f2))
         object.__setattr__(self, "coupling", ((self.A1, self.A2), self.b))
         object.__setattr__(self, "_coupling", ((A1, A2), self.b))
